@@ -20,19 +20,17 @@ from .pool import (
     PromptRecord,
     TaskPartition,
     load_pool,
-    partition_by_task,
     read_embeddings,
     save_pool,
     write_embeddings,
 )
 from .scoring import (
-    ExampleScores,
+    Scores,
     TaskConfidence,
     confidence,
     log_confidence,
     margins,
     mean_entropy,
-    score_example,
     score_pool,
     task_mean_confidence,
 )
@@ -55,11 +53,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AllocationVector",
-    "ExampleScores",
     "KernelSpec",
     "Pool",
     "PromptRecord",
     "STRATEGIES",
+    "Scores",
     "SelectionResult",
     "StrategyConfig",
     "TaskConfidence",
@@ -75,12 +73,10 @@ __all__ = [
     "manifest_payload",
     "margins",
     "mean_entropy",
-    "partition_by_task",
     "read_embeddings",
     "round_robin",
     "run_strategy",
     "save_pool",
-    "score_example",
     "score_pool",
     "select_dpp",
     "select_facility_location",

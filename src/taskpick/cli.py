@@ -30,6 +30,9 @@ def _atomic_write(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates 0600; outputs follow the umask
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -89,10 +92,12 @@ def cmd_select(args) -> int:
     return 0
 
 
-def _require(manifest: dict, key: str, path: str):
-    if key not in manifest:
-        raise ParseError(f"{path}: manifest is missing {key!r}")
-    return manifest[key]
+_NUMBER = (int, float)
+_ALLOCATION_ROW = {"task": str, "selected": int, "available": int, "alpha": _NUMBER, "alpha_ceil": int}
+# key: (type, value when absent or null); None marks a required key
+_MANIFEST = {"strategy": (str, None), "per_task": (dict, None), "selected_ids": (list, None),
+             "params": (dict, {}), "allocation": (list, []), "objective_trace": (list, []),
+             "warnings": (list, [])}
 
 
 def cmd_report(args) -> int:
@@ -103,20 +108,32 @@ def cmd_report(args) -> int:
         raise ParseError(f"{args.manifest}: invalid JSON ({exc.msg})") from exc
     if not isinstance(manifest, dict):
         raise ParseError(f"{args.manifest}: manifest is not an object")
-
-    strategy = _require(manifest, "strategy", args.manifest)
-    per_task = _require(manifest, "per_task", args.manifest)
-    selected = _require(manifest, "selected_ids", args.manifest)
-    params = manifest.get("params", {})
+    fields = []
+    for key, (kind, default) in _MANIFEST.items():
+        value = manifest.get(key)
+        if value is None and default is None:
+            raise ParseError(f"{args.manifest}: manifest is missing {key!r}")
+        fields.append(default if value is None else value)
+        if not isinstance(fields[-1], kind):
+            raise ParseError(f"{args.manifest}: manifest {key!r} is not a {kind.__name__}")
+    strategy, per_task, selected, params, allocation, trace, warnings = fields
+    for row in allocation:
+        if not isinstance(row, dict) or not isinstance(row.get("confidence", 0.0), _NUMBER) or any(
+            not isinstance(row.get(k), kind) for k, kind in _ALLOCATION_ROW.items()
+        ):
+            raise ParseError(f"{args.manifest}: malformed allocation row {row!r}")
+    if not all(isinstance(v, int) for v in per_task.values()) or not all(
+        isinstance(v, _NUMBER) for v in trace
+    ):
+        raise ParseError(f"{args.manifest}: manifest counts or trace values are not numbers")
 
     print(f"strategy: {strategy}")
     print(f"seed: {manifest.get('seed')}")
     print("params: " + ", ".join(f"{k}={v}" for k, v in sorted(params.items())))
     print(f"selected: {len(selected)}")
 
-    allocation = manifest.get("allocation")
     if allocation:
-        rows = sorted(allocation, key=lambda r: (-r.get("selected", 0), r.get("task", "")))
+        rows = sorted(allocation, key=lambda r: (-r["selected"], r["task"]))
         has_conf = any("confidence" in r for r in rows)
         header = f"{'task':<28}{'selected':>9}{'available':>11}{'alpha':>10}{'ceil':>6}"
         if has_conf:
@@ -135,10 +152,9 @@ def cmd_report(args) -> int:
         for task, count in sorted(per_task.items(), key=lambda kv: (-kv[1], kv[0])):
             print(f"{task:<28}{count:>9}")
 
-    trace = manifest.get("objective_trace")
     if trace:
         print(f"objective trace: {len(trace)} steps, first={trace[0]:.6g}, last={trace[-1]:.6g}")
-    for note in manifest.get("warnings", []):
+    for note in warnings:
         print(f"warning: {note}")
     return 0
 

@@ -62,7 +62,3 @@ class InvalidKernel(TaskpickError):
 
 class ConfigError(TaskpickError):
     """A strategy name, parameter, or input combination is invalid."""
-
-
-class LimitExceeded(TaskpickError):
-    """An exhaustive oracle was asked to enumerate past its size limits."""

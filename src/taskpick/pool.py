@@ -14,11 +14,16 @@ Embeddings may instead be supplied through a binary sidecar file whose
 layout is: two little-endian uint64 values ``N`` and ``d``, followed by
 ``N * d`` little-endian IEEE-754 float32 values in row-major order.
 Inline embeddings and a sidecar are mutually exclusive.
+
+In memory a pool is a set of columns, one entry per record in line order.
 """
 
 import json
+import os
 import struct
-from dataclasses import dataclass, replace
+from array import array
+from dataclasses import dataclass
+from itertools import chain, starmap
 
 import numpy as np
 
@@ -31,6 +36,8 @@ from .errors import (
 )
 
 _SIDECAR_HEADER = struct.Struct("<QQ")
+_NUMBERS = frozenset((int, float))
+_FIELDS = ("id", "task", "confidence", "token_probs", "embedding")
 
 
 @dataclass(frozen=True)
@@ -44,173 +51,220 @@ class PromptRecord:
     confidence: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TaskPartition:
-    """Pool indices grouped by task, tasks ordered lexicographically."""
+    """Pool indices grouped by task, tasks ordered lexicographically.
+
+    Record ``i`` has label ``tasks[codes[i]]``; ``members[t]`` holds task
+    ``t``'s indices in ascending order.
+    """
 
     tasks: tuple[str, ...]
-    members: tuple[tuple[int, ...], ...]
-    counts: tuple[int, ...]
+    codes: np.ndarray
+    counts: np.ndarray
+    members: tuple[np.ndarray, ...]
 
-    def index_of(self, task: str) -> int:
-        return self.tasks.index(task)
-
-    def members_of(self, task: str) -> tuple[int, ...]:
-        return self.members[self.index_of(task)]
+    def members_of(self, task: str) -> np.ndarray:
+        return self.members[self.tasks.index(task)]
 
 
-def _build_partition(records) -> TaskPartition:
-    groups: dict[str, list[int]] = {}
-    for i, rec in enumerate(records):
-        groups.setdefault(rec.task, []).append(i)
-    tasks = tuple(sorted(groups))
-    members = tuple(tuple(groups[t]) for t in tasks)
-    return TaskPartition(tasks=tasks, members=members, counts=tuple(len(m) for m in members))
+def _partition(task_labels) -> TaskPartition:
+    tasks = sorted(set(task_labels))
+    code_of = {label: t for t, label in enumerate(tasks)}
+    codes = np.fromiter(map(code_of.__getitem__, task_labels), np.int32, len(task_labels))
+    counts = np.bincount(codes, minlength=len(tasks))
+    order = np.argsort(codes, kind="stable")
+    for column in (codes, counts, order):
+        column.flags.writeable = False
+    return TaskPartition(tuple(tasks), codes, counts, tuple(np.split(order, np.cumsum(counts)[:-1])))
 
 
-def _check_token_probs(probs, rec_id: str) -> None:
-    if len(probs) == 0:
-        raise ValidationError(f"record {rec_id!r}: token_probs has no positions")
-    for j, pos in enumerate(probs):
-        if len(pos) < 2:
-            raise ValidationError(
-                f"record {rec_id!r}: token_probs position {j} has fewer than 2 entries"
-            )
-        prev = None
-        for p in pos:
-            if not (0.0 <= p <= 1.0):
-                raise ValidationError(
-                    f"record {rec_id!r}: probability {p!r} at position {j} is outside [0, 1]"
-                )
-            if prev is not None and p > prev:
-                raise ValidationError(
-                    f"record {rec_id!r}: probabilities at position {j} are not non-increasing"
-                )
-            prev = p
+def _offsets(lengths) -> np.ndarray:
+    return np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
 
 
 class Pool:
-    """Immutable, validated prompt pool with a lexicographic task partition.
+    """Immutable, validated prompt pool stored as columns.
 
     Safe for concurrent reads; all mutation happens before construction
     finishes. Build one via :func:`load_pool` or directly from records.
+    ``confidence`` is NaN where absent. Token traces are a two-level CSR:
+    record ``i`` owns positions ``position_offsets[i]:position_offsets[i + 1]``
+    and position ``j`` owns ``probs[candidate_offsets[j]:candidate_offsets[j + 1]]``.
     """
 
     def __init__(self, records):
-        records = tuple(records)
-        if not records:
+        self._adopt(
+            (r.id, r.task, r.confidence, r.token_probs,
+             r.embedding if r.embedding is None or np.ndim(r.embedding) == 1 else ())
+            for r in records
+        )
+
+    def _adopt(self, records, sidecar=None) -> None:
+        """Validate (id, task, confidence, token_probs, embedding) tuples, with
+        embeddings read from a ``sidecar`` file if given, and store them as
+        columns. Each check names the first record that fails it."""
+        widths, flat = array("q"), array("d")  # no Python object per entry
+
+        def flatten():  # moves each trace onto the flat arrays as the records stream in
+            for rec_id, task, confidence, trace, embedding in records:
+                if trace is not None:
+                    widths.extend(map(len, trace))
+                    flat.extend(chain.from_iterable(trace))
+                yield rec_id, task, confidence, -1 if trace is None else len(trace), embedding
+
+        columns = list(zip(*flatten()))
+        if not columns:
             raise ValidationError("pool contains no records")
+        ids, tasks, confidence, npos, embeddings = columns
 
-        seen: set[str] = set()
-        dim: int | None = None
-        for rec in records:
-            if rec.id in seen:
-                raise DuplicateId(f"duplicate record id {rec.id!r}")
-            seen.add(rec.id)
-            if rec.embedding is not None:
-                emb = rec.embedding
-                if emb.ndim != 1 or emb.shape[0] < 1:
-                    raise ShapeError(f"record {rec.id!r}: embedding must be a non-empty vector")
-                if dim is None:
-                    dim = emb.shape[0]
-                elif emb.shape[0] != dim:
-                    raise ShapeError(
-                        f"record {rec.id!r}: embedding length {emb.shape[0]} != {dim}"
-                    )
-                if not np.all(np.isfinite(emb)):
-                    raise ValidationError(f"record {rec.id!r}: embedding has non-finite values")
-            if rec.confidence is not None and not (0.0 < rec.confidence <= 1.0):
-                raise ValidationError(
-                    f"record {rec.id!r}: confidence {rec.confidence!r} is outside (0, 1]"
-                )
-            if rec.token_probs is not None:
-                _check_token_probs(rec.token_probs, rec.id)
+        def first(mask):
+            hits = np.flatnonzero(mask)
+            return int(hits[0]) if hits.size else None
 
-        self._records = records
-        self._partition = _build_partition(records)
-        self._matrix: np.ndarray | None = None
+        def fail(error, i, msg):
+            raise error(f"record {ids[i]!r}: {msg}")
 
-    @property
-    def records(self) -> tuple[PromptRecord, ...]:
-        return self._records
+        if len(set(ids)) != len(ids):
+            seen = set()
+            dup = next(rec_id for rec_id in ids if rec_id in seen or seen.add(rec_id))
+            raise DuplicateId(f"duplicate record id {dup!r}")
 
-    @property
-    def partition(self) -> TaskPartition:
-        return self._partition
+        if sidecar is not None:
+            if any(e is not None for e in embeddings):
+                raise ValidationError("pool has inline embeddings; a sidecar file cannot also be given")
+            matrix, given = read_embeddings(sidecar), np.arange(len(ids))
+            if len(matrix) != len(ids):
+                raise ShapeError(f"sidecar holds {len(matrix)} rows but pool has {len(ids)} records")
+        else:
+            given = np.flatnonzero([e is not None for e in embeddings])
+            vectors = [embeddings[i] for i in given]
+            lengths = np.fromiter(map(len, vectors), np.int64, len(vectors))
+            if (g := first((lengths < 1) | (lengths != lengths[:1]))) is not None:
+                fail(ShapeError, given[g], f"embedding length {lengths[g]} != {lengths[0]}"
+                     if lengths[g] else "embedding must be a non-empty vector")
+            matrix = np.array(vectors) if vectors else np.empty((0, 0))
+            if matrix.dtype.kind != "f":
+                matrix = matrix.astype(np.float64)
+        if (g := first(~np.isfinite(matrix).all(axis=1))) is not None:
+            fail(ValidationError, given[g], "embedding has non-finite values")
+
+        conf = np.array(confidence, dtype=np.float64)  # None becomes NaN
+        if (i := first(np.not_equal(confidence, None) & ~((conf > 0) & (conf <= 1)))) is not None:
+            fail(ValidationError, i, f"confidence {float(conf[i])!r} is outside (0, 1]")
+
+        npos = np.array(npos, dtype=np.int64)
+        if (i := first(npos == 0)) is not None:
+            fail(ValidationError, i, "token_probs has no positions")
+        pos_offsets = _offsets(np.maximum(npos, 0))
+        cand_offsets = _offsets(np.frombuffer(widths, dtype=np.int64))
+        probs = np.frombuffer(flat, dtype=np.float64)
+
+        def fail_at(j, msg, entry=False):
+            # j indexes flat positions, or flat entries when ``entry`` is set
+            if entry:
+                j = np.searchsorted(cand_offsets, j, side="right") - 1
+            i = np.searchsorted(pos_offsets, j, side="right") - 1
+            fail(ValidationError, i, msg.format(j=j - pos_offsets[i]))
+
+        if (j := first(np.diff(cand_offsets) < 2)) is not None:
+            fail_at(j, "token_probs position {j} has fewer than 2 entries")
+        if (k := first(~((probs >= 0) & (probs <= 1)))) is not None:
+            fail_at(k, f"probability {float(probs[k])!r} at position {{j}} is outside [0, 1]", True)
+        rising = np.append(False, probs[1:] > probs[:-1])
+        rising[cand_offsets[:-1]] = False  # a position's first entry has no predecessor
+        if (k := first(rising)) is not None:
+            fail_at(k, "probabilities at position {j} are not non-increasing", True)
+
+        if 0 < given.size < len(ids):  # absent rows are NaN, which no given row can be
+            full = np.full((len(ids), matrix.shape[1]), np.nan, dtype=matrix.dtype)
+            full[given] = matrix
+            matrix = full
+        self._ids = ids
+        self.partition = _partition(tasks)
+        self.confidence, self.probs = conf, probs
+        self.position_offsets, self.candidate_offsets = pos_offsets, cand_offsets
+        self._embeddings = matrix if given.size else None
+        for column in (conf, pos_offsets, cand_offsets, probs, matrix):
+            column.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._ids)
 
     def ids(self) -> tuple[str, ...]:
-        return tuple(r.id for r in self._records)
+        return self._ids
 
     def embedding_matrix(self) -> np.ndarray:
-        """All embeddings stacked as a read-only float64 matrix of shape (N, d).
+        """All embeddings as a read-only float64 matrix of shape (N, d).
 
         Raises MissingEmbedding if any record lacks one.
         """
-        if self._matrix is None:
-            for rec in self._records:
-                if rec.embedding is None:
-                    raise MissingEmbedding(f"record {rec.id!r} has no embedding")
-            mat = np.stack([r.embedding for r in self._records]).astype(np.float64)
-            mat.flags.writeable = False
-            self._matrix = mat
-        return self._matrix
+        emb = self._embeddings
+        missing = [0] if emb is None else np.flatnonzero(np.isnan(emb[:, 0]))
+        if len(missing):
+            raise MissingEmbedding(f"record {self._ids[missing[0]]!r} has no embedding")
+        mat = emb.astype(np.float64, copy=False)
+        mat.flags.writeable = False
+        return mat
+
+    def _fields(self):
+        """Yield each record's (id, task, embedding, token_probs, confidence)."""
+        tasks = [self.partition.tasks[t] for t in self.partition.codes.tolist()]
+        conf, pos, cand, probs = (column.tolist() for column in (
+            self.confidence, self.position_offsets, self.candidate_offsets, self.probs))
+        positions = [tuple(probs[a:b]) for a, b in zip(cand, cand[1:])]
+        emb = self._embeddings
+        absent = [True] * len(self) if emb is None else np.isnan(emb[:, 0]).tolist()
+        for i, rec_id in enumerate(self._ids):
+            embedding = None if absent[i] else emb[i]
+            trace = tuple(positions[pos[i] : pos[i + 1]]) or None
+            yield rec_id, tasks[i], embedding, trace, None if conf[i] != conf[i] else conf[i]
+
+    @property
+    def records(self) -> tuple[PromptRecord, ...]:
+        """The pool as PromptRecords, rebuilt from the columns on each access."""
+        return tuple(starmap(PromptRecord, self._fields()))
 
 
-def partition_by_task(pool: Pool) -> TaskPartition:
-    """Recompute the task partition of a pool (deterministic for a fixed pool)."""
-    return _build_partition(pool.records)
+def _json_lines(path):
+    """Yield (line number, parsed value) for each non-blank line of a JSON Lines file."""
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from exc
+            yield line_no, obj
 
 
-def _record_from_obj(obj, path, line_no: int) -> PromptRecord:
+def _parse_record(obj, path, line_no):
+    """(id, task, confidence, token_probs, embedding) of one pool line."""
+
     def fail(msg):
         raise ParseError(f"{path}:{line_no}: {msg}")
 
     if not isinstance(obj, dict):
         fail("record is not an object")
-    rec_id = obj.get("id")
-    task = obj.get("task")
+    rec_id, task, confidence, token_probs, embedding = map(obj.get, _FIELDS)
     if not isinstance(rec_id, str) or not rec_id:
         fail("missing or invalid 'id'")
     if not isinstance(task, str) or not task:
         fail("missing or invalid 'task'")
-
-    embedding = None
-    if obj.get("embedding") is not None:
-        raw = obj["embedding"]
-        if not isinstance(raw, list) or any(
-            isinstance(v, bool) or not isinstance(v, (int, float)) for v in raw
-        ):
-            fail("'embedding' must be an array of numbers")
-        embedding = np.asarray(raw, dtype=np.float64)
-        embedding.flags.writeable = False
-
-    confidence = None
-    if obj.get("confidence") is not None:
-        raw = obj["confidence"]
-        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-            fail("'confidence' must be a number")
-        confidence = float(raw)
-
-    token_probs = None
-    if obj.get("token_probs") is not None:
-        raw = obj["token_probs"]
-        if not isinstance(raw, list):
-            fail("'token_probs' must be an array of arrays")
-        positions = []
-        for pos in raw:
-            if not isinstance(pos, list) or any(
-                isinstance(v, bool) or not isinstance(v, (int, float)) for v in pos
-            ):
-                fail("'token_probs' must be an array of arrays of numbers")
-            positions.append(tuple(float(v) for v in pos))
-        token_probs = tuple(positions)
-
-    return PromptRecord(
-        id=rec_id, task=task, embedding=embedding, token_probs=token_probs, confidence=confidence
-    )
+    if embedding is not None and (
+        type(embedding) is not list or not _NUMBERS.issuperset(map(type, embedding))
+    ):
+        fail("'embedding' must be an array of numbers")
+    if confidence is not None and type(confidence) not in _NUMBERS:
+        fail("'confidence' must be a number")
+    if token_probs is not None and (
+        type(token_probs) is not list
+        or not {list}.issuperset(map(type, token_probs))
+        or not _NUMBERS.issuperset(map(type, chain.from_iterable(token_probs)))
+    ):
+        fail("'token_probs' must be an array of arrays of numbers")
+    return rec_id, task, confidence, token_probs, embedding
 
 
 def load_pool(pool_path, embeddings_path=None) -> Pool:
@@ -219,31 +273,12 @@ def load_pool(pool_path, embeddings_path=None) -> Pool:
     Records keep the order of their lines, so pool index equals input
     line index (blank lines are skipped).
     """
-    records = []
-    with open(pool_path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{pool_path}:{line_no}: invalid JSON ({exc.msg})") from exc
-            records.append(_record_from_obj(obj, pool_path, line_no))
-
-    if embeddings_path is not None:
-        if any(r.embedding is not None for r in records):
-            raise ValidationError(
-                "pool has inline embeddings; a sidecar file cannot also be given"
-            )
-        matrix = read_embeddings(embeddings_path)
-        if matrix.shape[0] != len(records):
-            raise ShapeError(
-                f"sidecar holds {matrix.shape[0]} rows but pool has {len(records)} records"
-            )
-        records = [replace(r, embedding=matrix[i]) for i, r in enumerate(records)]
-
-    return Pool(records)
+    pool = Pool.__new__(Pool)
+    pool._adopt(
+        (_parse_record(obj, pool_path, line_no) for line_no, obj in _json_lines(pool_path)),
+        embeddings_path,
+    )
+    return pool
 
 
 def save_pool(pool: Pool, pool_path, embeddings_path=None) -> None:
@@ -255,31 +290,36 @@ def save_pool(pool: Pool, pool_path, embeddings_path=None) -> None:
     if embeddings_path is not None:
         write_embeddings(embeddings_path, pool.embedding_matrix().astype(np.float32))
     with open(pool_path, "w", encoding="utf-8") as fh:
-        for rec in pool.records:
-            obj = {"id": rec.id, "task": rec.task}
-            if embeddings_path is None and rec.embedding is not None:
-                obj["embedding"] = [float(v) for v in rec.embedding]
-            if rec.confidence is not None:
-                obj["confidence"] = rec.confidence
-            if rec.token_probs is not None:
-                obj["token_probs"] = [list(pos) for pos in rec.token_probs]
+        for rec_id, task, embedding, token_probs, confidence in pool._fields():
+            obj = {"id": rec_id, "task": task}
+            if embeddings_path is None and embedding is not None:
+                obj["embedding"] = embedding.tolist()
+            if confidence is not None:
+                obj["confidence"] = confidence
+            if token_probs is not None:
+                obj["token_probs"] = [list(pos) for pos in token_probs]
             fh.write(json.dumps(obj) + "\n")
 
 
 def read_embeddings(path) -> np.ndarray:
-    """Read a binary embedding sidecar into a read-only float32 (N, d) matrix."""
+    """Read a binary embedding sidecar into a read-only float32 (N, d) matrix.
+
+    The header is checked against the file size before any row is read.
+    """
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < _SIDECAR_HEADER.size:
-        raise ShapeError(f"{path}: sidecar shorter than its 16-byte header")
-    n, d = _SIDECAR_HEADER.unpack_from(data)
-    expected = _SIDECAR_HEADER.size + n * d * 4
-    if len(data) != expected:
-        raise ShapeError(f"{path}: expected {expected} bytes for ({n}, {d}), found {len(data)}")
-    if n > 0 and d < 1:
-        raise ShapeError(f"{path}: embedding dimension must be >= 1, header says {d}")
-    matrix = np.frombuffer(data, dtype="<f4", offset=_SIDECAR_HEADER.size).reshape(n, d)
-    return matrix  # frombuffer on bytes is already read-only
+        header = fh.read(_SIDECAR_HEADER.size)
+        if len(header) < _SIDECAR_HEADER.size:
+            raise ShapeError(f"{path}: sidecar shorter than its 16-byte header")
+        n, d = _SIDECAR_HEADER.unpack(header)
+        size = os.fstat(fh.fileno()).st_size
+        expected = _SIDECAR_HEADER.size + n * d * 4
+        if size != expected:
+            raise ShapeError(f"{path}: expected {expected} bytes for ({n}, {d}), found {size}")
+        if n > 0 and d < 1:
+            raise ShapeError(f"{path}: embedding dimension must be >= 1, header says {d}")
+        matrix = np.fromfile(fh, dtype="<f4", count=n * d).reshape(n, d)
+    matrix.flags.writeable = False
+    return matrix
 
 
 def write_embeddings(path, matrix) -> None:

@@ -1,13 +1,14 @@
 """Per-example confidence and uncertainty scores, and task-level means.
 
 All scores are pure functions of the token-probability trace (or of a
-precomputed confidence), so they can be evaluated in any order or in
-parallel without changing results.
+precomputed confidence). ``score_pool`` computes them for a whole pool
+with segment reductions over its trace columns; the scalar functions
+below score one trace and serve as the reference.
 """
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .pool import Pool, PromptRecord, TaskPartition
+from .pool import Pool, _json_lines
 
 # Task means are floored before they are ever inverted downstream.
 CONFIDENCE_FLOOR = 1e-12
@@ -80,48 +81,58 @@ def margins(token_probs) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class ExampleScores:
-    """Scores for one example; a field is None when its inputs are absent.
+class Scores:
+    """Per-record scores as float64 columns in pool order, NaN where absent.
 
-    ``confidence`` is the raw product (exactly the precomputed field when
-    one was supplied); ``log_confidence`` is its log-space form, which
-    selectors use for ranking because it stays resolvable where the raw
-    product underflows.
+    ``confidence`` is the raw product (exactly the record's field when it
+    has one); ``log_confidence`` is its log-space form, which selectors
+    rank by because it stays resolvable where the product underflows.
     """
 
-    confidence: float | None = None
-    log_confidence: float | None = None
-    mean_entropy: float | None = None
-    mean_margin: float | None = None
-    min_margin: float | None = None
+    confidence: np.ndarray
+    log_confidence: np.ndarray
+    mean_entropy: np.ndarray
+    mean_margin: np.ndarray
+    min_margin: np.ndarray
 
 
-def score_example(record: PromptRecord) -> ExampleScores:
-    """Compute every score derivable from the record's fields.
+_SCORE_FIELDS = tuple(f.name for f in fields(Scores))
+_SCORE_TYPES = frozenset((int, float, type(None)))
+
+
+def score_pool(pool: Pool) -> Scores:
+    """Compute every score derivable from each record's fields.
 
     A precomputed confidence field takes precedence over the trace.
     """
-    conf = logc = ent = mean_m = min_m = None
-    if record.confidence is not None:
-        conf = record.confidence
-        logc = math.log(conf)
-    elif record.token_probs is not None:
-        logc = log_confidence(record.token_probs)
-        conf = math.exp(logc)
-    if record.token_probs is not None:
-        ent = mean_entropy(record.token_probs)
-        mean_m, min_m = margins(record.token_probs)
-    return ExampleScores(
-        confidence=conf,
-        log_confidence=logc,
-        mean_entropy=ent,
-        mean_margin=mean_m,
-        min_margin=min_m,
-    )
+    trace_log, entropy, mean_m, min_m = (np.full(len(pool), np.nan) for _ in range(4))
+    pos = pool.position_offsets
+    traced = np.flatnonzero(pos[1:] > pos[:-1])
+    starts, lengths = pos[traced], (pos[1:] - pos[:-1])[traced]
+    first = pool.candidate_offsets[:-1]  # each position's realized-token entry
+    probs = pool.probs
+    top = probs[first]
+    gaps = top - probs[first + 1]
+    with np.errstate(divide="ignore"):
+        trace_log[traced] = np.add.reduceat(np.log(top), starts)
+    plogp = np.log(probs, out=np.zeros_like(probs), where=probs > 0.0)
+    plogp *= probs
+    position_entropy = -np.add.reduceat(plogp, first)
+    entropy[traced] = np.add.reduceat(position_entropy, starts) / lengths
+    mean_m[traced] = np.add.reduceat(gaps, starts) / lengths
+    min_m[traced] = np.minimum.reduceat(gaps, starts)
 
-
-def score_pool(pool: Pool) -> list[ExampleScores]:
-    return [score_example(rec) for rec in pool.records]
+    given = ~np.isnan(pool.confidence)
+    if (degenerate := np.flatnonzero(~given & (trace_log == -np.inf))).size:
+        i = degenerate[0]
+        j = int(np.argmax(top[pos[i] : pos[i + 1]] <= 0.0))
+        raise DegenerateProbability(
+            f"record {pool.ids()[i]!r}: realized-token probability 0 at position {j}")
+    log_conf = trace_log.copy()
+    # math.log per given confidence, so these match the scalar path bit for bit
+    log_conf[given] = np.fromiter(map(math.log, pool.confidence[given].tolist()), np.float64)
+    conf = np.where(given, pool.confidence, np.exp(trace_log))
+    return Scores(conf, log_conf, entropy, mean_m, min_m)
 
 
 @dataclass(frozen=True)
@@ -131,95 +142,68 @@ class TaskConfidence:
     tasks: tuple[str, ...]
     values: np.ndarray
 
-    def as_dict(self) -> dict[str, float]:
-        return {t: float(v) for t, v in zip(self.tasks, self.values)}
 
-
-def task_mean_confidence(pool: Pool, partition: TaskPartition | None = None) -> TaskConfidence:
+def task_mean_confidence(pool: Pool, scores: Scores | None = None) -> TaskConfidence:
     """Mean raw confidence per task, floored at CONFIDENCE_FLOOR.
 
-    The precomputed confidence field takes precedence; otherwise the
-    value is derived from the token trace.
+    Confidences come from ``scores`` (such as a loaded cache) or, when it
+    is None, from scoring the pool.
     """
-    part = partition if partition is not None else pool.partition
-    confs = np.empty(len(pool))
-    for i, rec in enumerate(pool.records):
-        if rec.confidence is not None:
-            confs[i] = rec.confidence
-        elif rec.token_probs is not None:
-            confs[i] = math.exp(log_confidence(rec.token_probs))
-        else:
-            raise MissingConfidence(
-                f"record {rec.id!r} has neither a confidence nor token_probs"
-            )
-    values = np.empty(len(part.tasks))
-    for t, members in enumerate(part.members):
-        values[t] = confs[np.fromiter(members, dtype=np.intp)].mean()
-    values = np.maximum(values, CONFIDENCE_FLOOR)
+    conf = (score_pool(pool) if scores is None else scores).confidence
+    if (missing := np.flatnonzero(np.isnan(conf))).size:
+        rec_id = pool.ids()[missing[0]]
+        raise MissingConfidence(f"record {rec_id!r} has neither a confidence nor token_probs")
+    part = pool.partition
+    sums = np.array([conf[members].sum() for members in part.members])
+    values = np.maximum(sums / part.counts, CONFIDENCE_FLOOR)
     values.flags.writeable = False
     return TaskConfidence(tasks=part.tasks, values=values)
 
 
-_SCORE_FIELDS = ("confidence", "mean_entropy", "mean_margin", "min_margin")
+def render_scores(pool: Pool, scores: Scores) -> str:
+    """Serialize per-example scores as JSON lines, omitting absent (NaN) fields."""
+    columns = [getattr(scores, name).tolist() for name in _SCORE_FIELDS]
+    lines = (
+        json.dumps({"id": rec_id, **{k: v for k, v in zip(_SCORE_FIELDS, values) if v == v}})
+        for rec_id, *values in zip(pool.ids(), *columns)
+    )
+    return "".join(line + "\n" for line in lines)
 
 
-def render_scores(pool: Pool, scores) -> str:
-    """Serialize per-example scores as JSON lines, omitting absent fields."""
-    lines = []
-    for rec, s in zip(pool.records, scores):
-        obj = {"id": rec.id}
-        for name in _SCORE_FIELDS:
-            value = getattr(s, name)
-            if value is not None:
-                obj[name] = value
-        lines.append(json.dumps(obj))
-    return "\n".join(lines) + "\n"
+def read_scores(path, pool: Pool) -> Scores:
+    """Load a scores cache and align it with the pool by id.
 
+    Each pool id must appear once and no other id may. ``confidence`` and
+    ``log_confidence`` come in pairs, and a confidence of 0.0 is accepted
+    only where ``exp(log_confidence)`` underflows to it.
+    """
+    ids = pool.ids()
+    index = {rec_id: i for i, rec_id in enumerate(ids)}
+    rows, line_of = [None] * len(ids), [0] * len(ids)
+    for line_no, obj in _json_lines(path):
+        if not isinstance(obj, dict) or not isinstance(obj.get("id"), str):
+            raise ParseError(f"{path}:{line_no}: score record needs a string 'id'")
+        i = index.get(obj["id"])
+        if i is None or line_of[i]:
+            what = "is not in the pool" if i is None else f"repeats line {line_of[i]}"
+            raise ValidationError(f"{path}:{line_no}: id {obj['id']!r} {what}")
+        rows[i], line_of[i] = [obj.get(name) for name in _SCORE_FIELDS], line_no
+    if None in rows:
+        raise ValidationError(f"scores cache is missing record {ids[rows.index(None)]!r}")
 
-def write_scores(path, pool: Pool, scores) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_scores(pool, scores))
+    def check(mask, msg, error=ParseError):
+        if (bad := np.flatnonzero(mask)).size:
+            raise error(f"{path}:{line_of[bad[0]]}: record {ids[bad[0]]!r}: {msg}")
 
-
-def read_scores(path, pool: Pool) -> list[ExampleScores]:
-    """Load a scores cache and align it with the pool by id."""
-    by_id: dict[str, dict] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict) or not isinstance(obj.get("id"), str):
-                raise ParseError(f"{path}:{line_no}: score record needs a string 'id'")
-            by_id[obj["id"]] = obj
-
-    out = []
-    for rec in pool.records:
-        obj = by_id.get(rec.id)
-        if obj is None:
-            raise ValidationError(f"scores cache is missing record {rec.id!r}")
-        values = {}
-        for name in _SCORE_FIELDS:
-            raw = obj.get(name)
-            if raw is None:
-                continue
-            if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-                raise ParseError(f"score field {name!r} of {rec.id!r} is not a number")
-            values[name] = float(raw)
-        conf = values.get("confidence")
-        if conf is not None and not (0.0 < conf <= 1.0):
-            raise ValidationError(f"cached confidence {conf!r} of {rec.id!r} is outside (0, 1]")
-        out.append(
-            ExampleScores(
-                confidence=conf,
-                log_confidence=math.log(conf) if conf is not None else None,
-                mean_entropy=values.get("mean_entropy"),
-                mean_margin=values.get("mean_margin"),
-                min_margin=values.get("min_margin"),
-            )
-        )
-    return out
+    check([not _SCORE_TYPES.issuperset(map(type, row)) for row in rows], "a score is not a number")
+    table = np.array(rows, dtype=np.float64)  # None becomes NaN
+    given = np.not_equal(rows, None)
+    check((given & ~np.isfinite(table)).any(axis=1), "a score is not finite")
+    check(given[:, 0] != given[:, 1], "'confidence' and 'log_confidence' come in pairs;"
+          " re-run `taskpick score` to rewrite the cache")
+    conf, log_conf = table[:, 0], table[:, 1]
+    underflow = (conf == 0.0) & (np.exp(np.minimum(log_conf, 0.0)) == 0.0)
+    check((~((conf > 0.0) & (conf <= 1.0)) & given[:, 0] & ~underflow) | (log_conf > 0.0),
+          "cached confidence is outside (0, 1] and is not the underflow of its log_confidence",
+          ValidationError)
+    return Scores(*table.T.copy())

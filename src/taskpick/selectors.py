@@ -25,7 +25,7 @@ from .allocation import (
 )
 from .errors import ConfigError, InvalidBudget, InvalidKernel, MissingScore
 from .pool import Pool, TaskPartition
-from .scoring import score_pool, task_mean_confidence
+from .scoring import Scores, score_pool, task_mean_confidence
 
 # Cap on transient kernel-block size (elements) for the blocked passes.
 _BLOCK_FLOATS = 92_000_000
@@ -106,11 +106,8 @@ def _cap_note(budget: int, available: int, what: str) -> list[str]:
 
 
 def _tally(partition: TaskPartition, selected) -> dict[str, int]:
-    task_of = np.empty(sum(partition.counts), dtype=np.intp)
-    for t, members in enumerate(partition.members):
-        task_of[np.fromiter(members, dtype=np.intp)] = t
-    counts = np.bincount(task_of[np.asarray(selected, dtype=np.intp)], minlength=len(partition.tasks)) if selected else np.zeros(len(partition.tasks), dtype=int)
-    return {t: int(c) for t, c in zip(partition.tasks, counts)}
+    codes = partition.codes[np.asarray(selected, dtype=np.intp)]
+    return dict(zip(partition.tasks, np.bincount(codes, minlength=len(partition.tasks)).tolist()))
 
 
 def round_robin(allocation: AllocationVector, partition: TaskPartition, budget: int, seed: int) -> SelectionResult:
@@ -120,6 +117,10 @@ def round_robin(allocation: AllocationVector, partition: TaskPartition, budget: 
     task is eligible while it is below both its rounded allocation and
     its pool size. Draws are uniform without replacement within a task.
     Stops when the budget is met or no task is eligible.
+
+    In closed form: task t draws in passes r < min(ceil(alpha_t), size_t),
+    so the draws are the pairs (r, visit rank of t) in lexicographic
+    order, truncated at the budget.
     """
     _check_budget(budget)
     _check_seed(seed)
@@ -130,49 +131,31 @@ def round_robin(allocation: AllocationVector, partition: TaskPartition, budget: 
             raise ConfigError("allocation and partition cover different tasks")
         by_label = dict(zip(allocation.tasks, allocation.alpha))
         alpha = np.array([by_label[t] for t in partition.tasks])
+    elif len(allocation.alpha) != n_tasks:
+        raise ConfigError(f"allocation has {len(allocation.alpha)} entries for {n_tasks} tasks")
     else:
-        if len(allocation.alpha) != n_tasks:
-            raise ConfigError(
-                f"allocation has {len(allocation.alpha)} entries for {n_tasks} tasks"
-            )
         alpha = np.asarray(allocation.alpha, dtype=np.float64)
 
     caps = ceil_allocation(alpha)
-    sizes = partition.counts
-    order = sorted(range(n_tasks), key=lambda t: (caps[t], partition.tasks[t]))
-
-    queues: dict[int, np.ndarray] = {}
-    taken = [0] * n_tasks
-    selected: list[int] = []
-    done = False
-    while not done:
-        progressed = False
-        for t in order:
-            if taken[t] >= caps[t] or taken[t] >= sizes[t]:
-                continue
-            if t not in queues:
-                members = np.fromiter(partition.members[t], dtype=np.int64)
-                queues[t] = _stream(seed, partition.tasks[t]).permutation(members)
-            selected.append(int(queues[t][taken[t]]))
-            taken[t] += 1
-            progressed = True
-            if len(selected) == budget:
-                done = True
-                break
-        if not progressed:
-            break
+    visit_rank = np.argsort(np.argsort(caps, kind="stable"))  # labels are already sorted
+    draws = np.minimum(caps, partition.counts)
+    task = np.repeat(np.arange(n_tasks), draws)
+    rounds = np.arange(task.size) - np.repeat(np.cumsum(draws) - draws, draws)
+    order = np.lexsort((visit_rank[task], rounds))[:budget]
+    taken = np.bincount(task[order], minlength=n_tasks)
+    task, rounds = task[order].tolist(), rounds[order].tolist()
+    queues = {t: _stream(seed, partition.tasks[t]).permutation(partition.members[t]) for t in set(task)}
+    selected = [int(queues[t][r]) for t, r in zip(task, rounds)]
 
     warnings = list(allocation.warnings)
     if len(selected) < budget:
-        warnings.append(
-            f"allocation exhausted after {len(selected)} of {budget} requested examples"
-        )
+        warnings.append(f"allocation exhausted after {len(selected)} of {budget} requested examples")
     return SelectionResult(
         selected=selected,
         strategy="round_robin",
         params={"budget": budget},
         seed=seed,
-        per_task={t: taken[i] for i, t in enumerate(partition.tasks)},
+        per_task=dict(zip(partition.tasks, taken.tolist())),
         warnings=warnings,
     )
 
@@ -195,7 +178,7 @@ def select_random(pool: Pool, budget: int, seed: int) -> SelectionResult:
     )
 
 
-def select_uncertainty(pool: Pool, scores, criterion: str, budget: int) -> SelectionResult:
+def select_uncertainty(pool: Pool, scores: Scores, criterion: str, budget: int) -> SelectionResult:
     """Pick the examples the model is least sure about.
 
     Ranking is ascending log-confidence, descending mean entropy, or
@@ -205,23 +188,13 @@ def select_uncertainty(pool: Pool, scores, criterion: str, budget: int) -> Selec
         raise ConfigError(f"unknown uncertainty criterion {criterion!r}")
     _check_budget(budget)
     n = len(pool)
-    if len(scores) != n:
-        raise ConfigError(f"got {len(scores)} score entries for {n} records")
-    keys = np.empty(n)
-    for i, (rec, s) in enumerate(zip(pool.records, scores)):
-        if criterion == "least_confidence":
-            value = s.log_confidence
-        elif criterion == "mean_entropy":
-            value = None if s.mean_entropy is None else -s.mean_entropy
-        elif criterion == "mean_margin":
-            value = s.mean_margin
-        else:
-            value = s.min_margin
-        if value is None:
-            raise MissingScore(f"record {rec.id!r} has no {criterion} score")
-        keys[i] = value
-    order = np.argsort(keys, kind="stable")
-    selected = [int(i) for i in order[: min(budget, n)]]
+    if len(scores.confidence) != n:
+        raise ConfigError(f"got {len(scores.confidence)} score entries for {n} records")
+    field = "log_confidence" if criterion == "least_confidence" else criterion
+    keys = -scores.mean_entropy if criterion == "mean_entropy" else getattr(scores, field)
+    if (missing := np.flatnonzero(np.isnan(keys))).size:
+        raise MissingScore(f"record {pool.ids()[missing[0]]!r} has no {criterion} score")
+    selected = np.argsort(keys, kind="stable")[: min(budget, n)].tolist()
     return SelectionResult(
         selected=selected,
         strategy=criterion,
@@ -548,7 +521,8 @@ def run_strategy(pool: Pool, config: StrategyConfig, scores=None) -> SelectionRe
 
     The two allocation-first strategies compose partition -> (confidence
     when weighted) -> allocation -> round robin; ``scores`` may carry
-    precomputed per-example scores for the uncertainty strategies.
+    precomputed per-example scores, used by the uncertainty and the
+    confidence-weighted strategies.
     """
     name = config.strategy
     if name not in STRATEGIES:
@@ -563,15 +537,13 @@ def run_strategy(pool: Pool, config: StrategyConfig, scores=None) -> SelectionRe
             scores = score_pool(pool)
         result = select_uncertainty(pool, scores, name, config.budget)
     elif name in ("task_diversity", "weighted_task_diversity", "active_it"):
+        task_conf = None if name == "task_diversity" else task_mean_confidence(pool, scores)
         if name == "task_diversity":
             alloc = allocate_task_diversity(part.counts, config.budget, tasks=part.tasks)
-            task_conf = None
         elif name == "weighted_task_diversity":
-            task_conf = task_mean_confidence(pool, part)
             alloc = allocate_weighted(part.counts, task_conf, config.budget, base=config.base)
             params["base"] = config.base
         else:
-            task_conf = task_mean_confidence(pool, part)
             alloc = allocate_active_it(part.counts, task_conf, config.budget)
         result = round_robin(alloc, part, config.budget, config.seed)
         result.allocation = _allocation_table(part, alloc, result, task_conf)

@@ -12,7 +12,11 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import LimitExceeded
+from taskpick.errors import TaskpickError
+
+
+class LimitExceeded(TaskpickError):
+    """An exhaustive oracle was asked to enumerate past its size limits."""
 
 
 @dataclass(frozen=True)

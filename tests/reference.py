@@ -3,11 +3,15 @@
 Everything here is built from scipy/numpy primitives along different
 code paths than the production package (pairwise distances via cdist,
 log-dets via slogdet, the weighted allocation via bisection on the
-division form), so agreement with the package is meaningful.
+division form, round robin as an explicit pass loop), so agreement with
+the package is meaningful.
 """
 
 import numpy as np
 from scipy.spatial.distance import cdist
+
+from taskpick.allocation import ceil_allocation
+from taskpick.selectors import _stream
 
 
 def fl_kernel(points, kind, gamma=None):
@@ -73,3 +77,34 @@ def bisect_weighted_alpha(counts, conf, budget, base=5, iters=200):
         else:
             b = mid
     return np.clip(b / conf, lo, hi)
+
+
+def loop_round_robin(partition, alpha, budget, seed):
+    """Round robin run pass by pass: the reference for the closed form.
+
+    ``alpha`` is aligned with ``partition.tasks``. Each pass visits the
+    tasks in ascending (ceil(alpha), label) order and draws once from
+    every task still below its cap and its size.
+    """
+    caps = ceil_allocation(alpha)
+    sizes = partition.counts
+    n_tasks = len(partition.tasks)
+    order = sorted(range(n_tasks), key=lambda t: (caps[t], partition.tasks[t]))
+    queues = {}
+    taken = [0] * n_tasks
+    selected = []
+    while True:
+        progressed = False
+        for t in order:
+            if taken[t] >= caps[t] or taken[t] >= sizes[t]:
+                continue
+            if t not in queues:
+                members = partition.members_of(partition.tasks[t])
+                queues[t] = _stream(seed, partition.tasks[t]).permutation(members)
+            selected.append(int(queues[t][taken[t]]))
+            taken[t] += 1
+            progressed = True
+            if len(selected) == budget:
+                return selected
+        if not progressed:
+            return selected

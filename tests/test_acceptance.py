@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import make_pool
+from oracles import oracle_greedy_step, oracle_kcenter_radius, oracle_minmax_allocation
 from reference import (
     bisect_weighted_alpha,
     dpp_kernel,
@@ -27,11 +28,6 @@ from taskpick.allocation import (
     allocate_task_diversity,
     allocate_weighted,
     ceil_allocation,
-)
-from taskpick.oracles import (
-    oracle_greedy_step,
-    oracle_kcenter_radius,
-    oracle_minmax_allocation,
 )
 from taskpick.pool import load_pool, read_embeddings, write_embeddings
 from taskpick.scoring import TaskConfidence, confidence, margins, mean_entropy, task_mean_confidence

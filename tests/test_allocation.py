@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import oracle_minmax_allocation
 from reference import bisect_weighted_alpha
 from taskpick.allocation import (
     allocate_active_it,
@@ -9,7 +10,6 @@ from taskpick.allocation import (
     ceil_allocation,
 )
 from taskpick.errors import InvalidBudget, NoTasks
-from taskpick.oracles import oracle_minmax_allocation
 from taskpick.scoring import TaskConfidence
 
 

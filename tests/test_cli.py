@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -45,14 +46,16 @@ class TestScore:
         out = tmp_path / "scores.jsonl"
         assert main(["score", "--pool", pool, "--output", str(out)]) == 0
         row = json.loads(out.read_text())
-        assert set(row) == {"id", "confidence", "mean_entropy", "mean_margin", "min_margin"}
+        assert set(row) == {
+            "id", "confidence", "log_confidence", "mean_entropy", "mean_margin", "min_margin"
+        }
 
     def test_confidence_only_pool_omits_other_scores(self, tmp_path):
         pool = write_pool(tmp_path / "p.jsonl", [{"id": "x", "task": "t", "confidence": 0.4}])
         out = tmp_path / "scores.jsonl"
         assert main(["score", "--pool", pool, "--output", str(out)]) == 0
         row = json.loads(out.read_text())
-        assert set(row) == {"id", "confidence"}
+        assert set(row) == {"id", "confidence", "log_confidence"}
 
     def test_rerun_is_byte_identical(self, tmp_path):
         pool = write_pool(
@@ -180,6 +183,38 @@ class TestSelect:
         assert main(args + ["--output", str(out2)]) == 0
         assert cache.read_bytes() == cache_bytes
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("strategy", ["least_confidence", "weighted_task_diversity"])
+    def test_cached_manifest_matches_uncached_past_underflow(self, tmp_path, strategy):
+        # 700 positions at p=0.3: the sequence confidence underflows to 0.0
+        rows = [
+            {"id": f"x{i}", "task": f"t{i % 2}", "token_probs": [[0.3, 0.2]] * (700 if i < 2 else 3)}
+            for i in range(6)
+        ]
+        pool = write_pool(tmp_path / "p.jsonl", rows)
+        cache = tmp_path / "scores.jsonl"
+        assert main(["score", "--pool", pool, "--output", str(cache)]) == 0
+        manifests = []
+        for extra in ([], ["--scores-cache", str(cache)]):
+            out = tmp_path / "m.json"
+            args = ["select", "--pool", pool, "--strategy", strategy, "--budget", "3"]
+            assert main(args + extra + ["--output", str(out)]) == 0
+            manifest = json.loads(out.read_text())
+            manifest["inputs"].pop("scores_cache")
+            manifests.append(manifest)
+        assert manifests[0] == manifests[1]
+
+    def test_outputs_follow_the_umask(self, tmp_path):
+        pool = toy_pool(tmp_path)
+        old = os.umask(0o022)
+        try:
+            assert main(["score", "--pool", pool, "--output", str(tmp_path / "s.jsonl")]) == 0
+            args = ["select", "--pool", pool, "--strategy", "random", "--budget", "2"]
+            assert main(args + ["--output", str(tmp_path / "m.json")]) == 0
+        finally:
+            os.umask(old)
+        for name in ("s.jsonl", "m.json"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == 0o644
 
     def test_geometric_with_sidecar(self, tmp_path, rng):
         rows = [{"id": f"x{i}", "task": f"t{i % 2}"} for i in range(12)]
@@ -315,3 +350,19 @@ class TestReport:
         bad = tmp_path / "m.json"
         bad.write_text(json.dumps({"strategy": "random"}))
         assert main(["report", str(bad)]) == 1
+
+    @pytest.mark.parametrize(
+        "manifest",
+        [
+            {"strategy": "x", "per_task": {"a": 1}, "selected_ids": ["a"],
+             "allocation": [{"task": "a", "available": 1, "alpha": 1.0, "alpha_ceil": 1}]},
+            {"strategy": "x", "per_task": {"a": 1}, "selected_ids": ["a"], "params": ["budget"]},
+            {"strategy": "x", "per_task": {"a": 1}, "selected_ids": ["a"], "allocation": ["a"]},
+        ],
+    )
+    def test_malformed_manifest_shapes_exit_with_one_error_line(self, tmp_path, capsys, manifest):
+        bad = tmp_path / "m.json"
+        bad.write_text(json.dumps(manifest))
+        assert main(["report", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from reference import fl_kernel, fl_objective
-from taskpick.errors import LimitExceeded
-from taskpick.oracles import (
+from oracles import (
+    LimitExceeded,
     OracleBudgetLimits,
     oracle_greedy_step,
     oracle_kcenter_radius,

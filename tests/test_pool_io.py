@@ -14,7 +14,6 @@ from taskpick.pool import (
     Pool,
     PromptRecord,
     load_pool,
-    partition_by_task,
     read_embeddings,
     save_pool,
     write_embeddings,
@@ -37,8 +36,10 @@ def test_grouping_three_records(tmp_path):
     )
     pool = load_pool(path)
     assert pool.partition.tasks == ("a", "b")
-    assert pool.partition.counts == (2, 1)
-    assert pool.partition.members == ((0, 1), (2,))
+    assert pool.partition.codes.tolist() == [0, 0, 1]
+    assert pool.partition.counts.tolist() == [2, 1]
+    assert pool.partition.members_of("a").tolist() == [0, 1]
+    assert pool.partition.members_of("b").tolist() == [2]
 
 
 def test_embedding_length_mismatch(tmp_path):
@@ -66,14 +67,15 @@ def test_dolly_shaped_pool_has_eight_tasks(tmp_path):
 def test_single_record_partition():
     pool = Pool([PromptRecord(id="only", task="x")])
     assert pool.partition.tasks == ("x",)
-    assert pool.partition.counts == (1,)
+    assert pool.partition.counts.tolist() == [1]
 
 
 def test_alternating_tasks():
     records = [PromptRecord(id=f"r{i}", task="p" if i % 2 == 0 else "q") for i in range(6)]
     part = Pool(records).partition
-    assert part.counts == (3, 3)
-    assert part.members == ((0, 2, 4), (1, 3, 5))
+    assert part.counts.tolist() == [3, 3]
+    assert part.members_of("p").tolist() == [0, 2, 4]
+    assert part.members_of("q").tolist() == [1, 3, 5]
 
 
 def test_partition_is_order_independent_up_to_labels():
@@ -86,13 +88,13 @@ def test_partition_is_order_independent_up_to_labels():
     p1 = Pool(recs).partition
     p2 = Pool(shuffled).partition
     assert p1.tasks == p2.tasks == ("m", "z")
-    assert p1.counts == p2.counts == (1, 2)
+    assert p1.counts.tolist() == p2.counts.tolist() == [1, 2]
 
 
-def test_partition_by_task_matches_pool_partition():
-    records = [PromptRecord(id=f"r{i}", task=f"t{i % 3}") for i in range(10)]
-    pool = Pool(records)
-    assert partition_by_task(pool) == pool.partition
+def test_labels_differing_by_trailing_nul_stay_apart():
+    part = Pool([PromptRecord(id="a", task="t"), PromptRecord(id="b", task="t\x00")]).partition
+    assert part.tasks == ("t", "t\x00")
+    assert part.counts.tolist() == [1, 1]
 
 
 def test_duplicate_id(tmp_path):
@@ -198,7 +200,8 @@ def test_round_trip_inline(tmp_path):
     out = tmp_path / "copy.jsonl"
     save_pool(pool, out)
     again = load_pool(str(out))
-    assert again.partition == pool.partition
+    assert again.partition.tasks == pool.partition.tasks
+    assert np.array_equal(again.partition.codes, pool.partition.codes)
     for r1, r2 in zip(pool.records, again.records):
         assert r1.id == r2.id and r1.task == r2.task
         assert r1.confidence == r2.confidence
@@ -283,3 +286,95 @@ def test_embedding_matrix_requires_all_rows():
 def test_non_finite_embedding_rejected():
     with pytest.raises(ValidationError):
         Pool([PromptRecord(id="a", task="t", embedding=np.array([1.0, np.nan]))])
+
+
+def test_nan_confidence_is_rejected_not_absent(tmp_path):
+    path = tmp_path / "pool.jsonl"
+    path.write_text('{"id": "a", "task": "t", "confidence": NaN}\n')
+    with pytest.raises(ValidationError, match="'a'.*outside"):
+        load_pool(str(path))
+
+
+@pytest.mark.parametrize(
+    "rows, error, message",
+    [
+        # each check names the first record that fails it
+        (
+            [
+                {"id": "ok", "task": "t", "token_probs": [[0.9, 0.1]]},
+                {"id": "bad", "task": "t", "token_probs": [[0.9, 0.1], [0.3, 0.5]]},
+                {"id": "worse", "task": "t", "token_probs": [[0.1, 0.9]]},
+            ],
+            ValidationError,
+            "'bad': probabilities at position 1 are not non-increasing",
+        ),
+        # within a record: a short position before a later out-of-range entry
+        (
+            [{"id": "x", "task": "t", "token_probs": [[0.9, 0.1], [0.5], [1.5, 0.1]]}],
+            ValidationError,
+            "'x': token_probs position 1 has fewer than 2 entries",
+        ),
+        # within a position: the range check before the order check
+        (
+            [{"id": "x", "task": "t", "token_probs": [[0.5, 0.4, 1.5]]}],
+            ValidationError,
+            r"'x': probability 1.5 at position 0 is outside \[0, 1\]",
+        ),
+        (
+            [{"id": "a", "task": "t"}, {"id": "b", "task": "t", "token_probs": []}],
+            ValidationError,
+            "'b': token_probs has no positions",
+        ),
+        (
+            [
+                {"id": "a", "task": "t", "embedding": [1.0, 2.0]},
+                {"id": "b", "task": "t", "embedding": [1.0, 2.0, 3.0], "confidence": 0.0},
+            ],
+            ShapeError,
+            "'b': embedding length 3 != 2",
+        ),
+        (
+            [{"id": "a", "task": "t"}, {"id": "b", "task": "t", "embedding": [1.0, float("nan")]}],
+            ValidationError,
+            "'b': embedding has non-finite values",
+        ),
+        (
+            [{"id": "a", "task": "t"}, {"id": "b", "task": "t"}, {"id": "a", "task": "u"}],
+            DuplicateId,
+            "duplicate record id 'a'",
+        ),
+    ],
+)
+def test_validation_names_first_failing_record(tmp_path, rows, error, message):
+    path = tmp_path / "pool.jsonl"
+    with pytest.raises(error, match=message):
+        load_pool(write_lines(tmp_path / "pool.jsonl", rows))
+
+
+def test_records_view_rebuilds_an_equal_pool(tmp_path):
+    rows = [
+        {"id": "a", "task": "t1", "embedding": [0.25, -1.5], "confidence": 0.37},
+        {"id": "b", "task": "t0", "embedding": [1.0, 2.0], "token_probs": [[0.9, 0.05], [0.8, 0.1]]},
+        {"id": "c", "task": "t1", "embedding": [3.0, 4.0], "token_probs": [[0.6, 0.4, 0.0]]},
+    ]
+    pool = load_pool(write_lines(tmp_path / "pool.jsonl", rows))
+    again = Pool(pool.records)
+    assert again.ids() == pool.ids()
+    assert np.array_equal(again.partition.codes, pool.partition.codes)
+    for name in ("confidence", "position_offsets", "candidate_offsets", "probs"):
+        assert np.array_equal(getattr(again, name), getattr(pool, name), equal_nan=True)
+    assert np.array_equal(again.embedding_matrix(), pool.embedding_matrix())
+    assert pool.records[2].token_probs == ((0.6, 0.4, 0.0),)
+    assert pool.records[1].confidence is None
+
+
+def test_sidecar_header_checked_before_rows_are_read(tmp_path, monkeypatch):
+    path = tmp_path / "emb.bin"
+    path.write_bytes((2**40).to_bytes(8, "little") + (64).to_bytes(8, "little") + bytes(64))
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("rows were read before the header was checked")
+
+    monkeypatch.setattr(np, "fromfile", no_read)
+    with pytest.raises(ShapeError, match="expected"):
+        read_embeddings(path)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,8 @@ from taskpick.errors import (
     EmptySequence,
     InsufficientCandidates,
     MissingConfidence,
+    ParseError,
+    ValidationError,
 )
 from taskpick.pool import Pool, PromptRecord
 from taskpick.scoring import (
@@ -19,10 +22,8 @@ from taskpick.scoring import (
     mean_entropy,
     read_scores,
     render_scores,
-    score_example,
     score_pool,
     task_mean_confidence,
-    write_scores,
 )
 
 
@@ -123,17 +124,17 @@ def test_precomputed_confidence_takes_precedence():
     rec = PromptRecord(
         id="r", task="t", confidence=0.123456789, token_probs=((0.9, 0.1), (0.9, 0.1))
     )
-    scores = score_example(rec)
-    assert scores.confidence == 0.123456789  # exactly the field value
-    assert scores.log_confidence == math.log(0.123456789)
-    assert scores.mean_entropy is not None  # trace still feeds the other scores
+    scores = score_pool(Pool([rec]))
+    assert scores.confidence[0] == 0.123456789  # exactly the field value
+    assert scores.log_confidence[0] == math.log(0.123456789)
+    assert not np.isnan(scores.mean_entropy[0])  # trace still feeds the other scores
 
 
-def test_score_example_omits_absent_inputs():
-    scores = score_example(PromptRecord(id="r", task="t", confidence=0.5))
-    assert scores.mean_entropy is None
-    assert scores.mean_margin is None
-    assert scores.confidence == 0.5
+def test_score_pool_omits_absent_inputs():
+    scores = score_pool(Pool([PromptRecord(id="r", task="t", confidence=0.5)]))
+    assert np.isnan(scores.mean_entropy[0])
+    assert np.isnan(scores.mean_margin[0])
+    assert scores.confidence[0] == 0.5
 
 
 def test_min_margin_never_exceeds_mean_margin(rng):
@@ -173,8 +174,8 @@ def test_task_mean_confidence_bounded_by_members(rng):
     confs = [float(c) for c in rng.uniform(0.05, 1.0, size=9)]
     pool = make_pool({"a": 4, "b": 5}, confidences=confs)
     tc = task_mean_confidence(pool)
-    for t, members in zip(range(2), pool.partition.members):
-        vals = [confs[i] for i in members]
+    for t, label in enumerate(pool.partition.tasks):
+        vals = [confs[i] for i in pool.partition.members_of(label)]
         assert min(vals) <= tc.values[t] <= max(vals)
 
 
@@ -196,13 +197,10 @@ def test_scores_cache_round_trip(tmp_path):
     pool = make_pool({"a": 2}, token_probs=traces)
     scores = score_pool(pool)
     path = tmp_path / "scores.jsonl"
-    write_scores(path, pool, scores)
+    path.write_text(render_scores(pool, scores))
     loaded = read_scores(path, pool)
-    for s1, s2 in zip(scores, loaded):
-        assert s2.confidence == pytest.approx(s1.confidence, rel=1e-12)
-        assert s2.mean_entropy == pytest.approx(s1.mean_entropy, rel=1e-12)
-        assert s2.mean_margin == pytest.approx(s1.mean_margin, rel=1e-12)
-        assert s2.min_margin == pytest.approx(s1.min_margin, rel=1e-12)
+    for name in ("confidence", "log_confidence", "mean_entropy", "mean_margin", "min_margin"):
+        assert np.array_equal(getattr(loaded, name), getattr(scores, name))
 
 
 def test_scores_cache_omits_absent_fields(tmp_path):
@@ -210,3 +208,107 @@ def test_scores_cache_omits_absent_fields(tmp_path):
     text = render_scores(pool, score_pool(pool))
     assert "mean_entropy" not in text
     assert "confidence" in text
+
+
+def ulps(a, b):
+    """Distance in units in the last place between float64 arrays."""
+    ia, ib = (np.asarray(x, dtype=np.float64).view(np.int64) for x in (a, b))
+    ia = np.where(ia < 0, np.int64(-(2**63)) - ia, ia)
+    ib = np.where(ib < 0, np.int64(-(2**63)) - ib, ib)
+    return np.abs(ia - ib)
+
+
+def test_score_pool_matches_scalar_reference(rng):
+    traces = []
+    for _ in range(300):
+        length = int(rng.integers(1, 60))
+        width = int(rng.integers(2, 7))
+        rows = rng.dirichlet(np.ones(width + 1), size=length)[:, :width]
+        rows[rng.random(size=rows.shape) < 0.05] = 0.0  # some exact zeros
+        rows = -np.sort(-rows, axis=1)
+        rows[:, 0] = np.maximum(rows[:, 0], 1e-3)  # a realized token is never 0
+        traces.append(tuple(tuple(map(float, row)) for row in rows))
+    pool = make_pool({"t": len(traces)}, token_probs=traces)
+    scores = score_pool(pool)
+    ref_log = [log_confidence(t) for t in traces]
+    ref_entropy = [mean_entropy(t) for t in traces]
+    ref_mean_margin, ref_min_margin = zip(*(margins(t) for t in traces))
+    assert ulps(scores.log_confidence, ref_log).max() <= 4
+    assert ulps(scores.mean_entropy, ref_entropy).max() <= 8
+    assert ulps(scores.mean_margin, ref_mean_margin).max() <= 8
+    assert np.array_equal(scores.min_margin, ref_min_margin)
+    assert np.array_equal(scores.confidence, np.exp(scores.log_confidence))
+
+
+def test_task_means_of_confidence_fields_are_exact(rng):
+    sizes = {f"t{i:02d}": int(rng.integers(1, 400)) for i in range(30)}
+    confs = [float(c) for c in rng.uniform(0.01, 1.0, size=sum(sizes.values()))]
+    labels = [t for t, size in sizes.items() for _ in range(size)]
+    order = rng.permutation(len(confs))  # interleave the tasks
+    pool = Pool(
+        [PromptRecord(id=f"r{i}", task=labels[i], confidence=confs[i]) for i in order]
+    )
+    values = task_mean_confidence(pool).values
+    conf = np.array([confs[i] for i in order])
+    for t, label in enumerate(pool.partition.tasks):
+        members = np.array([i for i, j in enumerate(order) if labels[j] == label])
+        assert values[t] == conf[members].mean()  # bit for bit
+    scores = score_pool(pool)
+    assert np.array_equal(scores.confidence, conf)
+    assert scores.log_confidence.tolist() == [math.log(c) for c in conf]
+
+
+def test_degenerate_trace_without_confidence_fails_scoring():
+    pool = make_pool({"t": 2}, token_probs=[((0.9, 0.1),), ((0.5, 0.5), (0.0, 0.0))])
+    with pytest.raises(DegenerateProbability, match="'ex-0001'.*position 1"):
+        score_pool(pool)
+    rescued = make_pool({"t": 1}, confidences=[0.4], token_probs=[((0.0, 0.0),)])
+    assert score_pool(rescued).confidence[0] == 0.4
+
+
+def test_scores_cache_keeps_log_confidence_past_underflow(tmp_path):
+    pool = make_pool({"t": 2}, token_probs=[((0.3, 0.2),) * 700, ((0.9, 0.1),)])
+    path = tmp_path / "scores.jsonl"
+    path.write_text(render_scores(pool, score_pool(pool)))
+    loaded = read_scores(path, pool)
+    assert loaded.confidence[0] == 0.0
+    assert loaded.log_confidence[0] == score_pool(pool).log_confidence[0] < -745
+
+
+def _cache(tmp_path, lines):
+    path = tmp_path / "scores.jsonl"
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+    return path
+
+
+@pytest.mark.parametrize(
+    "lines, error, message",
+    [
+        (
+            [{"id": "ex-0000"}, {"id": "ex-0001"}, {"id": "ex-0000"}],
+            ValidationError,
+            ":3: id 'ex-0000' repeats line 1",
+        ),
+        ([{"id": "ex-0000"}, {"id": "zzz"}], ValidationError, ":2: id 'zzz' is not in the pool"),
+        ([{"id": "ex-0000"}], ValidationError, "missing record 'ex-0001'"),
+        (
+            [{"id": "ex-0000"}, {"id": "ex-0001", "confidence": 0.5}],
+            ParseError,
+            ":2: record 'ex-0001': .*re-run `taskpick score`",
+        ),
+        (
+            [{"id": "ex-0000"}, {"id": "ex-0001", "confidence": 0.0, "log_confidence": -1.0}],
+            ValidationError,
+            ":2: record 'ex-0001': cached confidence is outside",
+        ),
+        (
+            [{"id": "ex-0000", "mean_margin": float("nan")}, {"id": "ex-0001"}],
+            ParseError,
+            ":1: record 'ex-0000': a score is not finite",
+        ),
+    ],
+)
+def test_read_scores_rejects_malformed_caches(tmp_path, lines, error, message):
+    pool = make_pool({"t": 2})
+    with pytest.raises(error, match=message):
+        read_scores(_cache(tmp_path, lines), pool)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import make_pool
-from reference import dpp_kernel, dpp_objective, fl_kernel, fl_objective
+from oracles import oracle_kcenter_radius
+from reference import dpp_kernel, dpp_objective, fl_kernel, fl_objective, loop_round_robin
 from taskpick.allocation import AllocationVector, allocate_task_diversity, ceil_allocation
 from taskpick.errors import (
     ConfigError,
@@ -14,9 +15,8 @@ from taskpick.errors import (
     MissingEmbedding,
     MissingScore,
 )
-from taskpick.oracles import oracle_kcenter_radius
 from taskpick.pool import Pool, PromptRecord
-from taskpick.scoring import score_pool
+from taskpick.scoring import log_confidence, margins, mean_entropy, score_pool
 from taskpick.selectors import (
     KernelSpec,
     StrategyConfig,
@@ -81,7 +81,7 @@ class TestRoundRobin:
         pool_a = make_pool({"keep": 12, "other": 5})
         pool_b = make_pool({"keep": 12, "zzz": 9, "yyy": 4})
         # same members for "keep" in both pools: indices 0..11
-        assert pool_a.partition.members_of("keep") == pool_b.partition.members_of("keep")
+        assert np.array_equal(pool_a.partition.members_of("keep"), pool_b.partition.members_of("keep"))
         ra = round_robin(alloc_of([4, 0], tasks=("keep", "other")), pool_a.partition, 4, seed=5)
         rb = round_robin(
             alloc_of([4, 0, 0], tasks=("keep", "zzz", "yyy")), pool_b.partition, 4, seed=5
@@ -98,7 +98,10 @@ class TestRoundRobin:
             counts = np.array(pool.partition.counts)
             alpha = rng.uniform(0.0, counts + 2.0)
             budget = int(rng.integers(1, counts.sum() + 4))
-            result = round_robin(alloc_of(alpha, tasks=pool.partition.tasks), pool.partition, budget, seed=int(rng.integers(0, 1000)))
+            seed = int(rng.integers(0, 1000))
+            result = round_robin(alloc_of(alpha, tasks=pool.partition.tasks), pool.partition, budget, seed=seed)
+            # the closed form draws exactly what the pass-by-pass loop draws
+            assert result.selected == loop_round_robin(pool.partition, alpha, budget, seed)
             caps = ceil_allocation(
                 [dict(zip(pool.partition.tasks, alpha))[t] for t in pool.partition.tasks]
             )
@@ -172,13 +175,13 @@ class TestUncertainty:
             budget = 12
             result = select_uncertainty(pool, scores, criterion, budget)
             if criterion == "least_confidence":
-                keys = [s.log_confidence for s in scores]
+                keys = [log_confidence(t) for t in traces]
             elif criterion == "mean_entropy":
-                keys = [-s.mean_entropy for s in scores]
+                keys = [-mean_entropy(t) for t in traces]
             elif criterion == "mean_margin":
-                keys = [s.mean_margin for s in scores]
+                keys = [margins(t)[0] for t in traces]
             else:
-                keys = [s.min_margin for s in scores]
+                keys = [margins(t)[1] for t in traces]
             expected = sorted(range(n), key=lambda i: (keys[i], i))[:budget]
             assert result.selected == expected
 
