@@ -13,7 +13,7 @@ import sys
 import tempfile
 
 from .errors import ParseError, TaskpickError
-from .pool import load_pool
+from .pool import _parse_json, load_pool
 from .scoring import read_scores, render_scores, score_pool
 from .selectors import (
     STRATEGIES,
@@ -101,11 +101,8 @@ _MANIFEST = {"strategy": (str, None), "per_task": (dict, None), "selected_ids": 
 
 
 def cmd_report(args) -> int:
-    try:
-        with open(args.manifest, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{args.manifest}: invalid JSON ({exc.msg})") from exc
+    with open(args.manifest, encoding="utf-8") as fh:
+        manifest = _parse_json(fh.read(), args.manifest)
     if not isinstance(manifest, dict):
         raise ParseError(f"{args.manifest}: manifest is not an object")
     fields = []

@@ -21,6 +21,7 @@ In memory a pool is a set of columns, one entry per record in line order.
 import json
 import os
 import struct
+import sys
 from array import array
 from dataclasses import dataclass
 from itertools import chain, starmap
@@ -226,17 +227,35 @@ class Pool:
         return tuple(starmap(PromptRecord, self._fields()))
 
 
+def _json_int(text: str) -> int:
+    """An integer literal, which must fit a float64 as every number read is one.
+
+    Literals longer than the 309 digits of the largest float are rejected
+    before ``int`` parses them."""
+    if len(text) > 310 or abs(value := int(text)) > sys.float_info.max:
+        raise OverflowError(f"integer of {len(text.lstrip('-'))} digits does not fit a float")
+    return value
+
+
+_DECODER = json.JSONDecoder(parse_int=_json_int)
+
+
+def _parse_json(text: str, where: str):
+    """Parse one JSON document; errors are ParseErrors prefixed with ``where``."""
+    try:
+        return _DECODER.decode(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{where}: invalid JSON ({exc.msg})") from exc
+    except OverflowError as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+
+
 def _json_lines(path):
     """Yield (line number, parsed value) for each non-blank line of a JSON Lines file."""
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from exc
-            yield line_no, obj
+            if line.strip():
+                yield line_no, _parse_json(line, f"{path}:{line_no}")
 
 
 def _parse_record(obj, path, line_no):

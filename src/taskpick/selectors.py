@@ -27,8 +27,18 @@ from .errors import ConfigError, InvalidBudget, InvalidKernel, MissingScore
 from .pool import Pool, TaskPartition
 from .scoring import Scores, score_pool, task_mean_confidence
 
-# Cap on transient kernel-block size (elements) for the blocked passes.
-_BLOCK_FLOATS = 92_000_000
+# Largest kernel block facility location builds: 2^20 floats, 8 MB.
+_TILE_FLOATS = 1 << 20
+# Gains within this relative distance of the best count as tied; a greedy
+# pick is the lowest index among them, so float noise cannot decide it.
+_TIE_RTOL = 1e-12
+# Facility location's front of exactly-tracked candidates is halved when it
+# grows past _DEMOTE_CAP; candidates are evaluated in batches growing to
+# _ABSORB_CAP.
+_DEMOTE_CAP = 256
+_ABSORB_CAP = 256
+# DPP pivots below this multiple of the jitter are jitter, not kernel.
+_JITTER_MARGIN = 1e3
 
 UNCERTAINTY_CRITERIA = ("least_confidence", "mean_entropy", "mean_margin", "min_margin")
 
@@ -63,6 +73,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("euclidean", "rbf", "cosine"):
             raise InvalidKernel(f"unknown kernel kind {self.kind!r}")
+        if self.gamma is not None and not math.isfinite(self.gamma):
+            raise InvalidKernel(f"gamma must be finite, got {self.gamma!r}")
         if self.kind == "rbf" and not (self.gamma is not None and self.gamma > 0):
             raise InvalidKernel(f"rbf kernel needs gamma > 0, got {self.gamma!r}")
 
@@ -79,6 +91,7 @@ class SelectionResult:
     objective_trace: list[float] | None = None
     warnings: list[str] = field(default_factory=list)
     allocation: list[dict] | None = None
+    stats: dict | None = None
 
 
 def _check_budget(budget: int) -> None:
@@ -205,10 +218,12 @@ def select_uncertainty(pool: Pool, scores: Scores, criterion: str, budget: int) 
 
 
 class _ColumnKernel:
-    """Evaluates kernel columns on demand; materializes at most one block.
+    """Evaluates kernel blocks on demand, one tile of at most _TILE_FLOATS
+    entries at a time.
 
     The full N x N kernel never exists in memory, which is what makes the
-    greedy selectors usable on pools of ~100K examples.
+    greedy selectors usable on pools of ~100K examples. ``entries`` counts
+    the kernel values computed so far.
     """
 
     def __init__(self, embeddings: np.ndarray, spec: KernelSpec):
@@ -220,18 +235,13 @@ class _ColumnKernel:
             self.points = embeddings
             self.sq_norms = (embeddings * embeddings).sum(axis=1)
         self.n = embeddings.shape[0]
-
-    def column(self, j: int) -> np.ndarray:
-        return self.columns(slice(j, j + 1))[:, 0]
-
-    def columns(self, which) -> np.ndarray:
-        """Similarity columns for a slice or index array, shape (n, len(which))."""
-        return self.cross(slice(None), which)
+        self.entries = 0
 
     def cross(self, rows, cols) -> np.ndarray:
         """Similarity block K[rows, cols] for slices or index arrays."""
         pts = self.points
         out = pts[rows] @ pts[cols].T
+        self.entries += out.size
         if self.spec.kind == "cosine":
             return out
         # negative squared distance, computed in place from the Gram block
@@ -244,8 +254,28 @@ class _ColumnKernel:
             np.exp(out, out=out)
         return out
 
-    def block_size(self) -> int:
-        return max(1, min(self.n, _BLOCK_FLOATS // self.n))
+    def tiles(self, rows, cols):
+        """Yield (row span, column span, tile) covering K[rows, cols].
+
+        ``rows`` and ``cols`` are index arrays, or None for every point;
+        the spans are slices into them. Each tile is at most _TILE_FLOATS.
+        """
+        n_rows, n_cols = (self.n if idx is None else len(idx) for idx in (rows, cols))
+        width = max(1, min(n_cols, _TILE_FLOATS))
+        height = max(1, _TILE_FLOATS // width)
+        for c in range(0, n_cols, width):
+            cs = slice(c, c + width)
+            for r in range(0, n_rows, height):
+                rs = slice(r, r + height)
+                yield rs, cs, self.cross(
+                    rs if rows is None else rows[rs], cs if cols is None else cols[cs]
+                )
+
+    def column(self, j: int) -> np.ndarray:
+        out = np.empty(self.n)
+        for rs, _, tile in self.tiles(None, np.array([j])):
+            out[rs] = tile[:, 0]
+        return out
 
 
 def select_k_center(embeddings, budget: int, kernel: KernelSpec | None = None) -> SelectionResult:
@@ -296,6 +326,15 @@ def select_k_center(embeddings, budget: int, kernel: KernelSpec | None = None) -
     )
 
 
+def _lowest_near_max(values: np.ndarray) -> tuple[int, bool]:
+    """Lowest index whose value is within _TIE_RTOL of the max, and whether
+    any other value is too."""
+    top = values.max()
+    near = values >= top - _TIE_RTOL * abs(top)
+    pos = int(np.argmax(near))
+    return pos, bool(near[pos + 1 :].any())
+
+
 def select_facility_location(embeddings, budget: int, kernel: KernelSpec) -> SelectionResult:
     """Lazy greedy maximization of sum-of-best-similarities coverage.
 
@@ -303,101 +342,131 @@ def select_facility_location(embeddings, budget: int, kernel: KernelSpec) -> Sel
     step adds the candidate with the largest coverage gain. Per-point
     best similarities start at -inf so negative (cosine) similarities
     rank correctly (the definitional first pick, the max column sum,
-    realizes that initialization).
+    realizes that initialization). Gains within _TIE_RTOL (relative) of
+    the best are ties, and every pick, the first included, is the lowest
+    index among them.
 
-    Laziness is two-tier, and exact at both tiers. A heap holds stale
-    gains, which submodularity makes valid upper bounds; they are only
-    trusted after re-evaluation. Re-evaluated candidates move to a
-    "front" whose gains are kept exact at every step by subtracting the
-    coverage each new center steals, which needs only the kernel block
-    between the captured points and the front. That incremental update
-    is what keeps near-tie regimes (thousands of candidates within
-    rounding of the best gain) from forcing full column recomputes on
-    every step.
+    The kernel is only ever built in tiles of at most _TILE_FLOATS
+    entries, so memory is O(N*d) plus a few tiles. The column sums come
+    from the tiles K[A, B] with B >= A, each computed once and summed
+    along both axes, since K is symmetric.
+
+    Laziness is two-tier, and exact at both tiers. A heap holds upper
+    bounds on the gains; a candidate is only trusted after its exact
+    gain is computed. The bounds start from the column sums and later
+    become stale exact gains, which submodularity keeps valid. Evaluated
+    candidates move to a "front" whose gains are kept exact at every
+    step by subtracting the coverage each new center steals, which needs
+    only the kernel between the captured points and the front. That
+    incremental update is what keeps near-tie regimes (thousands of
+    candidates within rounding of the best gain) from forcing full
+    column recomputes on every step.
+
+    ``stats`` counts the work: kernel entries computed, exact gain
+    evaluations, candidates demoted from the front back to the heap, and
+    picks that had a near tie.
     """
     _check_budget(budget)
     points = np.asarray(embeddings, dtype=np.float64)
     n = points.shape[0]
     k = min(budget, n)
     cols = _ColumnKernel(points, kernel)
-    blk = cols.block_size()
 
-    col_sums = np.empty(n)
-    for start in range(0, n, blk):
-        stop = min(start + blk, n)
-        col_sums[start:stop] = cols.columns(slice(start, stop)).sum(axis=0)
+    side = math.isqrt(_TILE_FLOATS)
+    col_sums = np.zeros(n)
+    low = np.inf  # smallest kernel entry
+    for a in range(0, n, side):
+        for b in range(a, n, side):
+            tile = cols.cross(slice(a, a + side), slice(b, b + side))
+            col_sums[b : b + side] += tile.sum(axis=0)
+            if b != a:
+                col_sums[a : a + side] += tile.sum(axis=1)
+            low = min(low, float(tile.min()))
 
-    first = int(np.argmax(col_sums))
+    first, tied = _lowest_near_max(col_sums)
     best = cols.column(first)
     selected = [first]
     trace = [float(best.sum())]
+    stats = {"gain_evaluations": 0, "front_demotions": 0, "near_tie_picks": int(tied)}
 
     def exact_gains(idx: np.ndarray) -> np.ndarray:
-        block = cols.columns(idx)
-        block -= best[:, None]
-        np.maximum(block, 0.0, out=block)
-        return block.sum(axis=0)
+        gains = np.zeros(idx.size)
+        for rs, cs, tile in cols.tiles(None, idx):
+            tile -= best[rs, None]
+            np.maximum(tile, 0.0, out=tile)
+            gains[cs] += tile.sum(axis=0)
+        stats["gain_evaluations"] += idx.size
+        return gains
 
-    # Stale upper bounds, seeded with exact second-step gains (blocked, so
-    # BLAS-batched rather than one matvec per candidate).
+    # Heap of upper bounds on gain(c | {first}), seeded without a second
+    # kernel pass: every term max(K(i,c) - best_i, 0) is at most
+    # K(i,c) - low, so the gain is at most col_sums[c] - n * low. The
+    # relative slack keeps the bounds above the exact gains when the two
+    # are rounded differently (they sum in other orders, over tiles of
+    # other shapes).
     heap: list[tuple[float, int]] = []
     if k > 1:
-        for start in range(0, n, blk):
-            stop = min(start + blk, n)
-            gains = exact_gains(np.arange(start, stop))
-            heap.extend((-gains[c - start], c) for c in range(start, stop) if c != first)
+        bounds = col_sums - n * low
+        bounds += 1e-9 * (np.abs(col_sums) + n * abs(low))
+        heap = [(-b, c) for c, b in enumerate(bounds.tolist()) if c != first]
         heapq.heapify(heap)
 
     # Front of candidates with exactly-maintained gains, kept index-sorted
-    # so argmax resolves ties toward the lowest candidate index. A small
-    # front keeps the per-step capture updates cheap; demoted candidates
+    # so the lowest-index near-max is the first one found. A small front
+    # keeps the per-step capture updates cheap; demoted candidates
     # re-enter through the heap with tight bounds, so churn stays low.
     front_idx = np.empty(0, dtype=np.intp)
     front_gain = np.empty(0)
-    demote_cap = 1024
 
     while len(selected) < k:
-        # absorb stale candidates until every remaining bound is beaten
+        # absorb every stale candidate whose bound reaches the tie window
+        # of the front's best, so no tied candidate stays in the heap
         batch = 64
         while heap:
-            front_max = front_gain.max() if front_gain.size else -np.inf
-            if -heap[0][0] < front_max:
+            top = front_gain.max() if front_gain.size else -np.inf
+            floor = top - _TIE_RTOL * abs(top)
+            if -heap[0][0] < floor:
                 break
             absorbed = [heapq.heappop(heap)[1]]
-            while heap and len(absorbed) < batch and -heap[0][0] >= front_max:
+            while heap and len(absorbed) < batch and -heap[0][0] >= floor:
                 absorbed.append(heapq.heappop(heap)[1])
             absorbed = np.asarray(absorbed, dtype=np.intp)
             merged = np.concatenate([front_idx, absorbed])
             gains = np.concatenate([front_gain, exact_gains(absorbed)])
             order = np.argsort(merged, kind="stable")
             front_idx, front_gain = merged[order], gains[order]
-            batch = min(batch * 4, max(64, blk))
+            batch = min(batch * 4, _ABSORB_CAP)
 
-        pos = int(np.argmax(front_gain))
+        pos, tied = _lowest_near_max(front_gain)
+        stats["near_tie_picks"] += tied
         chosen = int(front_idx[pos])
         selected.append(chosen)
         front_idx = np.delete(front_idx, pos)
         front_gain = np.delete(front_gain, pos)
 
         column = cols.column(chosen)
-        captured = np.where(column > best)[0]
+        captured = np.flatnonzero(column > best)
         if captured.size and front_idx.size:
-            old_best = best[captured].copy()
+            # a captured point i moves from old_i to new_i, so candidate c
+            # loses clip(K(i,c), old_i, new_i) - old_i of its gain
+            old_best = best[captured]
             new_best = column[captured]
-            block = cols.cross(captured, front_idx)
-            loss = np.maximum(block - old_best[:, None], 0.0)
-            loss -= np.maximum(block - new_best[:, None], 0.0)
-            front_gain -= loss.sum(axis=0)
-        if captured.size:
-            best[captured] = column[captured]
+            loss = np.zeros(front_idx.size)
+            for rs, cs, tile in cols.tiles(captured, front_idx):
+                np.clip(tile, old_best[rs, None], new_best[rs, None], out=tile)
+                tile -= old_best[rs, None]
+                loss[cs] += tile.sum(axis=0)
+            front_gain -= loss
+        best[captured] = column[captured]
         trace.append(float(best.sum()))
 
-        if front_idx.size > demote_cap:
+        if front_idx.size > _DEMOTE_CAP:
             # push the cold half back as (tight) stale bounds
             keep = np.argsort(front_gain, kind="stable")[front_idx.size // 2 :]
             drop = np.setdiff1d(np.arange(front_idx.size), keep, assume_unique=True)
             for i in drop:
                 heapq.heappush(heap, (-float(front_gain[i]), int(front_idx[i])))
+            stats["front_demotions"] += drop.size
             keep.sort()
             front_idx, front_gain = front_idx[keep], front_gain[keep]
 
@@ -407,6 +476,7 @@ def select_facility_location(embeddings, budget: int, kernel: KernelSpec) -> Sel
         params={"budget": budget, "kernel": kernel.kind, "gamma": kernel.gamma},
         objective_trace=trace,
         warnings=_cap_note(budget, n, "number of points"),
+        stats={"kernel_entries": cols.entries, **stats},
     )
 
 
@@ -417,11 +487,14 @@ def select_dpp(embeddings, budget: int, kernel: KernelSpec, jitter: float = 1e-6
     kernel; each step adds the point with the largest residual squared
     norm after projecting onto the span of the chosen points, which
     equals the marginal log-det gain. If every residual collapses to
-    zero the result is returned partial, flagged with a warning.
+    zero the result is returned partial, flagged with a warning. A pivot
+    below _JITTER_MARGIN x jitter means the kernel's rank is spent and
+    the jitter (plus rounding) decides the picks; the first such step is
+    named in a warning.
     """
     _check_budget(budget)
-    if not jitter > 0:
-        raise ConfigError(f"jitter must be positive, got {jitter!r}")
+    if not (jitter > 0 and math.isfinite(jitter)):
+        raise ConfigError(f"jitter must be positive and finite, got {jitter!r}")
     points = np.asarray(embeddings, dtype=np.float64)
     if kernel.kind == "cosine":
         norms = np.sqrt((points * points).sum(axis=1))
@@ -450,6 +523,7 @@ def select_dpp(embeddings, budget: int, kernel: KernelSpec, jitter: float = 1e-6
     trace: list[float] = []
     warnings = _cap_note(budget, n, "number of points")
     log_det = 0.0
+    jitter_noted = False
     for step in range(k):
         j = int(np.argmax(residual))
         pivot = residual[j]
@@ -458,6 +532,12 @@ def select_dpp(embeddings, budget: int, kernel: KernelSpec, jitter: float = 1e-6
                 f"kernel rank exhausted after {step} of {k} selections; partial result"
             )
             break
+        if not jitter_noted and pivot < _JITTER_MARGIN * jitter:
+            jitter_noted = True
+            warnings.append(
+                f"pivot {pivot:.3g} at step {step} is below {_JITTER_MARGIN:g} x jitter"
+                f" ({jitter:g}); picks from step {step} on are decided by the jitter"
+            )
         log_det += math.log(pivot)
         trace.append(log_det)
         if step:
@@ -585,4 +665,6 @@ def manifest_payload(result: SelectionResult, pool: Pool) -> dict:
         payload["objective_trace"] = result.objective_trace
     if result.allocation is not None:
         payload["allocation"] = result.allocation
+    if result.stats is not None:
+        payload["stats"] = result.stats
     return payload

@@ -26,6 +26,20 @@ def fl_kernel(points, kind, gamma=None):
     raise ValueError(kind)
 
 
+def fl_lowest_near_max_pick(kernel_matrix, chosen, rtol=1e-12):
+    """The greedy facility-location pick after ``chosen``, from gains
+    recomputed in full on the dense kernel: the lowest index whose gain is
+    within ``rtol`` (relative) of the best gain."""
+    if chosen:
+        best = kernel_matrix[:, list(chosen)].max(axis=1)
+        gains = np.maximum(kernel_matrix - best[:, None], 0.0).sum(axis=0)
+    else:
+        gains = kernel_matrix.sum(axis=0)
+    gains[list(chosen)] = -np.inf
+    top = gains.max()
+    return int(np.flatnonzero(gains >= top - rtol * abs(top))[0])
+
+
 def dpp_kernel(points, kind, gamma=None):
     """Similarity matrix under DPP semantics (euclidean = inner product)."""
     points = np.asarray(points, dtype=np.float64)

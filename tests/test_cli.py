@@ -269,6 +269,40 @@ class TestSelect:
             main(["select", "--pool", "p", "--strategy", "nope", "--budget", "1", "--output", "o"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [("--strategy", "facility_location", "--kernel", "rbf", "--gamma", "inf"),
+         ("--strategy", "dpp", "--jitter", "inf")],
+    )
+    def test_non_finite_kernel_parameters_exit_with_one_error_line(self, tmp_path, capsys, flags):
+        rows = [{"id": f"x{i}", "task": "t", "embedding": [float(i), 1.0]} for i in range(4)]
+        pool = write_pool(tmp_path / "p.jsonl", rows)
+        out = tmp_path / "m.json"
+        code = main(["select", "--pool", pool, "--budget", "3", "--output", str(out), *flags])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 1 and not out.exists()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+    @pytest.mark.parametrize("field", ["confidence", "token_probs", "embedding", "log_confidence"])
+    def test_huge_integer_exits_with_one_error_line(self, tmp_path, capsys, field):
+        huge = "1" + "0" * 400
+        row = {"id": "x", "task": "t", "confidence": 0.5, "embedding": [0.0, 1.0]}
+        cache = tmp_path / "scores.jsonl"
+        if field == "log_confidence":
+            cache.write_text(f'{{"id": "x", "confidence": 0.5, "log_confidence": -{huge}}}\n')
+        else:
+            row[field] = "HUGE" if field == "confidence" else (
+                [["HUGE", 0.0]] if field == "token_probs" else ["HUGE", 1.0])
+        pool = tmp_path / "p.jsonl"
+        pool.write_text(json.dumps(row).replace('"HUGE"', huge) + "\n")
+        out = tmp_path / "m.json"
+        code = main(["select", "--pool", str(pool), "--strategy", "random", "--budget", "1",
+                     "--scores-cache", str(cache), "--output", str(out)])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 1 and not out.exists()
+        where = cache if field == "log_confidence" else pool
+        assert err == [f"error: {where}:1: integer of 401 digits does not fit a float"]
+
     def test_strategy_error_exits_nonzero(self, tmp_path):
         pool = write_pool(tmp_path / "p.jsonl", [{"id": "x", "task": "t"}])
         out = tmp_path / "m.json"
@@ -358,6 +392,7 @@ class TestReport:
              "allocation": [{"task": "a", "available": 1, "alpha": 1.0, "alpha_ceil": 1}]},
             {"strategy": "x", "per_task": {"a": 1}, "selected_ids": ["a"], "params": ["budget"]},
             {"strategy": "x", "per_task": {"a": 1}, "selected_ids": ["a"], "allocation": ["a"]},
+            {"strategy": "x", "per_task": {"a": 1}, "selected_ids": ["a"], "objective_trace": [10**400]},
         ],
     )
     def test_malformed_manifest_shapes_exit_with_one_error_line(self, tmp_path, capsys, manifest):

@@ -1,11 +1,22 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import make_pool
 from oracles import oracle_kcenter_radius
-from reference import dpp_kernel, dpp_objective, fl_kernel, fl_objective, loop_round_robin
+from reference import (
+    dpp_kernel,
+    dpp_objective,
+    fl_kernel,
+    fl_lowest_near_max_pick,
+    fl_objective,
+    loop_round_robin,
+)
+from taskpick import selectors
 from taskpick.allocation import AllocationVector, allocate_task_diversity, ceil_allocation
 from taskpick.errors import (
     ConfigError,
@@ -201,6 +212,13 @@ class TestUncertainty:
             select_uncertainty(pool, score_pool(pool), "mean_entropy", 1)
 
 
+@pytest.mark.parametrize("kind", ["rbf", "euclidean", "cosine"])
+@pytest.mark.parametrize("gamma", [float("inf"), float("-inf"), float("nan")])
+def test_kernel_spec_rejects_non_finite_gamma(kind, gamma):
+    with pytest.raises(InvalidKernel):
+        KernelSpec(kind, gamma)
+
+
 class TestKCenter:
     def test_two_points(self):
         result = select_k_center(np.array([[0.0], [10.0]]), 2)
@@ -300,6 +318,98 @@ class TestFacilityLocation:
         assert sides == {0, 1}
 
 
+def mirrored_pairs(d=8, seed=3):
+    """Two-point clusters {c + v, c - v} at c = +-e_k with v = e_(k+1) / 4,
+    rotated at random. Under rbf gamma=50 the clusters barely see each
+    other, so every uncovered cluster offers the same gain in exact
+    arithmetic and every greedy step is a near tie; the rotation puts float
+    noise of about 1e-15 on those gains."""
+    centers = np.vstack([np.eye(d), -np.eye(d)])
+    offsets = 0.25 * np.tile(np.roll(np.eye(d), 1, axis=1), (2, 1))
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+    return np.vstack([centers + offsets, centers - offsets]) @ q
+
+
+class TestFacilityLocationTiles:
+    def test_near_ties_go_to_lowest_index(self):
+        for seed in range(4):
+            pts = mirrored_pairs(seed=seed)
+            dense = fl_kernel(pts, "rbf", 50.0)
+            result = select_facility_location(pts, len(pts) // 2 + 4, KernelSpec("rbf", 50.0))
+            for step, pick in enumerate(result.selected):
+                assert pick == fl_lowest_near_max_pick(dense, result.selected[:step]), (seed, step)
+            assert result.stats["near_tie_picks"] == len(result.selected)
+
+    def test_tiles_stay_within_cap_and_picks_do_not_depend_on_them(self, rng, monkeypatch):
+        centers = 4.0 * rng.standard_normal((12, 5))
+        pts = centers[rng.integers(0, 12, size=700)] + rng.standard_normal((700, 5))
+        spec = KernelSpec("rbf", 0.05)
+        reference = select_facility_location(pts, 60, spec)
+        cross = selectors._ColumnKernel.cross
+
+        def checked_cross(self, rows, cols):
+            block = cross(self, rows, cols)
+            assert block.size <= selectors._TILE_FLOATS
+            return block
+
+        monkeypatch.setattr(selectors._ColumnKernel, "cross", checked_cross)
+        for tile_floats in (1 << 12, 1 << 15, selectors._TILE_FLOATS):
+            monkeypatch.setattr(selectors, "_TILE_FLOATS", tile_floats)
+            result = select_facility_location(pts, 60, spec)
+            assert result.selected == reference.selected
+            assert result.objective_trace[-1] == pytest.approx(
+                reference.objective_trace[-1], rel=1e-12
+            )
+
+    def test_stats_repeat_exactly(self, rng):
+        emb = rng.normal(size=(300, 4))
+        pool = make_pool({"a": 150, "b": 150}, embeddings=emb)
+        config = StrategyConfig("facility_location", budget=40, seed=0)
+        blobs = [
+            json.dumps(manifest_payload(run_strategy(pool, config), pool), sort_keys=True)
+            for _ in range(2)
+        ]
+        assert blobs[0] == blobs[1]
+        stats = json.loads(blobs[0])["stats"]
+        assert set(stats) == {"kernel_entries", "gain_evaluations", "front_demotions", "near_tie_picks"}
+        assert stats["kernel_entries"] >= 300 * 301 // 2  # the column sums alone
+        assert stats["gain_evaluations"] >= 39
+
+    def test_other_strategies_have_no_stats(self, rng):
+        pool = make_pool({"a": 6}, embeddings=rng.normal(size=(6, 2)))
+        for name in ("k_center", "dpp", "random"):
+            result = run_strategy(pool, StrategyConfig(name, budget=2, seed=0))
+            assert result.stats is None
+            assert "stats" not in manifest_payload(result, pool)
+
+
+_THREAD_SCRIPT = """
+import json
+import numpy as np
+from taskpick.selectors import KernelSpec, select_dpp, select_facility_location, select_k_center
+rng = np.random.default_rng(99)
+pts = 3.0 * rng.standard_normal((40, 16))[rng.integers(0, 40, size=2500)]
+pts += rng.standard_normal(pts.shape)
+print(json.dumps([
+    select_facility_location(pts, 80, KernelSpec("rbf", 0.05)).selected,
+    select_dpp(pts, 40, KernelSpec("euclidean")).selected,
+    select_k_center(pts, 80).selected,
+]))
+"""
+
+
+def test_selections_do_not_depend_on_blas_threads():
+    src = os.path.dirname(os.path.dirname(selectors.__file__))
+    picks = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        out = subprocess.run([sys.executable, "-c", _THREAD_SCRIPT], env=env, check=True,
+                             capture_output=True, text=True, timeout=300)
+        picks.append(json.loads(out.stdout))
+    assert picks[0] == picks[1]
+
+
 class TestDpp:
     def test_orthonormal_tie_break(self):
         result = select_dpp(np.eye(3), 2, KernelSpec("euclidean"))
@@ -340,6 +450,20 @@ class TestDpp:
         result = select_dpp(pts, 3, KernelSpec("euclidean"))
         assert len(result.selected) < 3
         assert any("rank exhausted" in w for w in result.warnings)
+
+    def test_warns_once_when_jitter_decides_picks(self, rng):
+        pts = rng.normal(size=(30, 3))
+        within_rank = select_dpp(pts, 3, KernelSpec("euclidean"))
+        past_rank = select_dpp(pts, 6, KernelSpec("euclidean"))
+        assert past_rank.selected[:3] == within_rank.selected
+        assert not within_rank.warnings
+        notes = [w for w in past_rank.warnings if "decided by the jitter" in w]
+        assert len(notes) == 1 and "at step 3 " in notes[0]
+
+    @pytest.mark.parametrize("jitter", [float("inf"), float("nan"), 0.0, -1e-6])
+    def test_rejects_non_positive_or_non_finite_jitter(self, jitter):
+        with pytest.raises(ConfigError):
+            select_dpp(np.eye(3), 2, KernelSpec("euclidean"), jitter=jitter)
 
     def test_positive_pivots(self, rng):
         pts = rng.normal(size=(12, 3))
