@@ -13,7 +13,7 @@ import sys
 import tempfile
 
 from .errors import ParseError, TaskpickError
-from .pool import _parse_json, load_pool
+from .pool import _not_utf8, _parse_json, load_pool
 from .scoring import read_scores, render_scores, score_pool
 from .selectors import (
     STRATEGIES,
@@ -102,7 +102,11 @@ _MANIFEST = {"strategy": (str, None), "per_task": (dict, None), "selected_ids": 
 
 def cmd_report(args) -> int:
     with open(args.manifest, encoding="utf-8") as fh:
-        manifest = _parse_json(fh.read(), args.manifest)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(args.manifest, exc) from exc
+    manifest = _parse_json(text, args.manifest)
     if not isinstance(manifest, dict):
         raise ParseError(f"{args.manifest}: manifest is not an object")
     fields = []

@@ -250,12 +250,19 @@ def _parse_json(text: str, where: str):
         raise ParseError(f"{where}: {exc}") from exc
 
 
+def _not_utf8(path, exc: UnicodeDecodeError) -> ParseError:
+    return ParseError(f"{path}: not UTF-8 text ({exc.reason})")
+
+
 def _json_lines(path):
     """Yield (line number, parsed value) for each non-blank line of a JSON Lines file."""
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if line.strip():
-                yield line_no, _parse_json(line, f"{path}:{line_no}")
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                if line.strip():
+                    yield line_no, _parse_json(line, f"{path}:{line_no}")
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from exc
 
 
 def _parse_record(obj, path, line_no):

@@ -12,6 +12,7 @@ All argmax reductions break ties toward the lowest index.
 import hashlib
 import heapq
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -483,56 +484,86 @@ def select_facility_location(embeddings, budget: int, kernel: KernelSpec) -> Sel
 def select_dpp(embeddings, budget: int, kernel: KernelSpec, jitter: float = 1e-6) -> SelectionResult:
     """Greedy log-determinant maximization (deterministic DPP).
 
-    Grows an incremental Cholesky-style factorization of the jittered
-    kernel; each step adds the point with the largest residual squared
-    norm after projecting onto the span of the chosen points, which
-    equals the marginal log-det gain. If every residual collapses to
-    zero the result is returned partial, flagged with a warning. A pivot
-    below _JITTER_MARGIN x jitter means the kernel's rank is spent and
-    the jitter (plus rounding) decides the picks; the first such step is
-    named in a warning.
+    Each step adds the point with the largest residual of the jittered
+    kernel K + jitter*I after projecting out the chosen points; the
+    residual equals the marginal log-det gain (Chen, Zhang & Zhou 2018).
+    Every pick is the lowest index within _TIE_RTOL (relative) of the
+    largest residual. A pivot below _JITTER_MARGIN x jitter means the
+    kernel's rank is spent and the jitter decides the picks; the first
+    such step is named in a warning.
+
+    The euclidean and cosine kernels are K = X X^T for the (normalized)
+    points X, so the state lives in d dimensions, with no k x N factor.
+    While the best residual is at least _JITTER_MARGIN x jitter, the
+    incremental Cholesky factor rows are X c for c in R^d, and only
+    P = sum c c^T is kept: c = (x_j - P x_j) / sqrt(pivot), and the
+    residuals drop by (X c)^2. Past that point the subtraction would
+    cancel to noise, so the residuals are recomputed exactly as
+    jitter * (1 + ||z_i||^2), with the whitened points z_i = R^-T x_i and
+    R^T R = G = jitter*I + X_S^T X_S. Each later pick j then downdates them
+    by Sherman-Morrison: with M = I + (sum of z z^T over those picks),
+    G = R^T M R, and residual_i -= jitter (z_i^T u)^2 / (1 + z_j^T u) for
+    u = M^-1 z_j; M >= I, so its solves stay accurate. A pick costs
+    O(N d + d^2) before the switch and O(N d + d^3) after it; memory is
+    O(N d + d^2). A d in the thousands would want a Cholesky update of M
+    instead of a solve.
+
+    The rbf kernel has no finite feature map, so it keeps the k x N
+    factor; its k*N*8 bytes are checked against physical memory before
+    anything is allocated. If every rbf residual collapses to zero the
+    result is returned partial, flagged with a warning.
     """
     _check_budget(budget)
     if not (jitter > 0 and math.isfinite(jitter)):
         raise ConfigError(f"jitter must be positive and finite, got {jitter!r}")
     points = np.asarray(embeddings, dtype=np.float64)
-    if kernel.kind == "cosine":
-        norms = np.sqrt((points * points).sum(axis=1))
-        points = points / np.maximum(norms, 1e-30)[:, None]
-    n = points.shape[0]
+    n, d = points.shape
     k = min(budget, n)
+    floor = _JITTER_MARGIN * jitter
+    rbf = kernel.kind == "rbf"
 
-    if kernel.kind == "rbf":
+    if rbf:
+        need = k * n * 8
+        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if need > have:
+            raise ConfigError(
+                f"dpp with the rbf kernel needs a {k} x {n} float64 factor ({need} bytes);"
+                f" physical memory is {have} bytes"
+            )
+        factors = np.zeros((k, n))
         sq_norms = (points * points).sum(axis=1)
-        diag = np.ones(n)
-
-        def row(j: int) -> np.ndarray:
-            sq = sq_norms + sq_norms[j] - 2.0 * (points @ points[j])
-            np.maximum(sq, 0.0, out=sq)
-            return np.exp(-kernel.gamma * sq)
-
+        residual = np.full(n, 1.0 + jitter)
     else:
-        diag = (points * points).sum(axis=1)
+        if kernel.kind == "cosine":
+            norms = np.sqrt((points * points).sum(axis=1))
+            points = points / np.maximum(norms, 1e-30)[:, None]
+        proj = np.zeros((d, d))  # P, before the switch
+        whitened = None  # Z, after it
+        residual = (points * points).sum(axis=1) + jitter
 
-        def row(j: int) -> np.ndarray:
-            return points @ points[j]
-
-    residual = diag + jitter
-    factors = np.zeros((k, n))
     selected: list[int] = []
     trace: list[float] = []
     warnings = _cap_note(budget, n, "number of points")
     log_det = 0.0
     jitter_noted = False
     for step in range(k):
-        j = int(np.argmax(residual))
-        pivot = residual[j]
+        if not rbf and whitened is None and not residual.max() >= floor:
+            # R from the QR of [X_S; sqrt(jitter) I] has R^T R = G without
+            # forming G, so the jitter survives where it is below G's rounding
+            stacked = np.vstack([points[selected], math.sqrt(jitter) * np.eye(d)])
+            upper = np.linalg.qr(stacked, mode="r")
+            whitened = np.linalg.solve(upper.T, points.T)  # Z = R^-T X^T
+            gram = np.eye(d)  # M, with G = R^T M R as picks join S
+            residual = jitter * (1.0 + np.einsum("ij,ij->j", whitened, whitened))
+            residual[selected] = -np.inf
+        j, _ = _lowest_near_max(residual)
+        pivot = float(residual[j])
         if not pivot > 0.0:
             warnings.append(
                 f"kernel rank exhausted after {step} of {k} selections; partial result"
             )
             break
-        if not jitter_noted and pivot < _JITTER_MARGIN * jitter:
+        if not jitter_noted and pivot < floor:
             jitter_noted = True
             warnings.append(
                 f"pivot {pivot:.3g} at step {step} is below {_JITTER_MARGIN:g} x jitter"
@@ -540,13 +571,24 @@ def select_dpp(embeddings, budget: int, kernel: KernelSpec, jitter: float = 1e-6
             )
         log_det += math.log(pivot)
         trace.append(log_det)
-        if step:
-            projected = row(j) - factors[:step, j] @ factors[:step]
+        if rbf:
+            sq = sq_norms + sq_norms[j] - 2.0 * (points @ points[j])
+            np.maximum(sq, 0.0, out=sq)
+            row = np.exp(-kernel.gamma * sq)
+            row -= factors[:step, j] @ factors[:step]
+            row /= math.sqrt(pivot)
+            factors[step] = row
+            residual -= row * row
+        elif whitened is None:
+            x = points[j]
+            c = (x - proj @ x) / math.sqrt(pivot)
+            proj += np.outer(c, c)
+            residual -= np.square(points @ c)
         else:
-            projected = row(j)
-        projected /= math.sqrt(pivot)
-        factors[step] = projected
-        residual -= projected * projected
+            z = whitened[:, j]
+            u = np.linalg.solve(gram, z)
+            residual -= jitter * np.square(u @ whitened) / (1.0 + z @ u)
+            gram += np.outer(z, z)
         selected.append(j)
         residual[j] = -np.inf
 

@@ -48,6 +48,20 @@ def dpp_kernel(points, kind, gamma=None):
     return fl_kernel(points, kind, gamma)
 
 
+def dpp_exact_residuals(points, selected, jitter):
+    """Marginal log-det gains of the linear DPP kernel X X^T + jitter*I
+    after ``selected``, computed densely in feature space as
+    jitter * (1 + ||L^-1 x_i||^2) with L = chol(jitter*I + X_S^T X_S).
+    Selected points get -inf."""
+    points = np.asarray(points, dtype=np.float64)
+    chosen = points[list(selected)]
+    lower = np.linalg.cholesky(jitter * np.eye(points.shape[1]) + chosen.T @ chosen)
+    whitened = np.linalg.solve(lower, points.T)
+    residuals = jitter * (1.0 + (whitened * whitened).sum(axis=0))
+    residuals[list(selected)] = -np.inf
+    return residuals
+
+
 def fl_objective(kernel_matrix):
     """Coverage value of a subset: sum over points of best similarity."""
 

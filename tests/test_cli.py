@@ -303,6 +303,28 @@ class TestSelect:
         where = cache if field == "log_confidence" else pool
         assert err == [f"error: {where}:1: integer of 401 digits does not fit a float"]
 
+    @pytest.mark.parametrize("target", ["pool", "scores_cache", "report"])
+    def test_non_utf8_input_exits_with_one_error_line(self, tmp_path, capsys, target):
+        pool = tmp_path / "p.jsonl"
+        cache = tmp_path / "scores.jsonl"
+        manifest = tmp_path / "m.json"
+        write_pool(pool, [{"id": "x", "task": "t", "confidence": 0.5}])
+        cache.write_text('{"id": "x", "confidence": 0.5, "log_confidence": -0.6931471805599453}\n')
+        assert main(["select", "--pool", str(pool), "--strategy", "random", "--budget", "1",
+                     "--output", str(manifest)]) == 0
+        bad = {"pool": pool, "scores_cache": cache, "report": manifest}[target]
+        bad.write_bytes(b"\xff\xfe" + bad.read_bytes())
+        capsys.readouterr()
+        if target == "report":
+            code = main(["report", str(manifest)])
+        else:
+            code = main(["select", "--pool", str(pool), "--strategy", "least_confidence",
+                         "--budget", "1", "--scores-cache", str(cache),
+                         "--output", str(tmp_path / "out.json")])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}: not UTF-8 text")
+
     def test_strategy_error_exits_nonzero(self, tmp_path):
         pool = write_pool(tmp_path / "p.jsonl", [{"id": "x", "task": "t"}])
         out = tmp_path / "m.json"

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from conftest import make_pool
 from oracles import oracle_kcenter_radius
 from reference import (
+    dpp_exact_residuals,
     dpp_kernel,
     dpp_objective,
     fl_kernel,
@@ -393,6 +395,7 @@ pts += rng.standard_normal(pts.shape)
 print(json.dumps([
     select_facility_location(pts, 80, KernelSpec("rbf", 0.05)).selected,
     select_dpp(pts, 40, KernelSpec("euclidean")).selected,
+    select_dpp(pts, 40, KernelSpec("cosine")).selected,
     select_k_center(pts, 80).selected,
 ]))
 """
@@ -446,10 +449,63 @@ class TestDpp:
                     )
 
     def test_rank_exhaustion_flags_partial_result(self):
-        pts = np.array([[1e9, 0.0]] * 3)
-        result = select_dpp(pts, 3, KernelSpec("euclidean"))
-        assert len(result.selected) < 3
+        # rbf duplicates: K is all ones, so with a jitter below the rounding
+        # of 1.0 every residual after the first pick is exactly zero
+        pts = np.array([[1.0]] * 3)
+        result = select_dpp(pts, 3, KernelSpec("rbf", 0.5), jitter=1e-20)
+        assert result.selected == [0]
         assert any("rank exhausted" in w for w in result.warnings)
+
+    @pytest.mark.parametrize("direction", [(1.0, 0.0), (0.6, 0.8)])
+    @pytest.mark.parametrize("norm", [1e3, 1e9])
+    def test_linear_duplicates_get_exact_jitter_pivots(self, norm, direction):
+        # K + jitter*I on three copies of x has pivots ||x||^2 + jitter,
+        # then 2 jitter and 1.5 jitter (up to jitter / ||x||^2); off the
+        # axes the jitter is below the rounding of X^T X's entries
+        jitter = 1e-6
+        pts = norm * np.array([direction] * 3)
+        result = select_dpp(pts, 3, KernelSpec("euclidean"), jitter=jitter)
+        assert result.selected == [0, 1, 2]
+        pivots = np.exp(np.diff(result.objective_trace))
+        assert pivots == pytest.approx([2 * jitter, 1.5 * jitter], rel=1e-9)
+
+    @pytest.mark.parametrize("kind", ["euclidean", "cosine"])
+    def test_every_pick_is_the_lowest_exact_near_max(self, kind):
+        pts = 100 * np.random.default_rng(1).standard_normal((300, 4)) + 300
+        jitter = 1e-6
+        result = select_dpp(pts, 60, KernelSpec(kind), jitter=jitter)
+        if kind == "cosine":
+            pts = pts / np.sqrt((pts * pts).sum(axis=1))[:, None]
+        assert len(result.selected) == 60
+        for step, pick in enumerate(result.selected):
+            residuals = dpp_exact_residuals(pts, result.selected[:step], jitter)
+            top = residuals.max()
+            assert pick == int(np.argmax(residuals >= top - 1e-12 * abs(top))), step
+
+    @pytest.mark.parametrize("kind", ["euclidean", "cosine"])
+    def test_linear_kernels_hold_no_budget_sized_factor(self, kind):
+        # the k x N factor would be 4000 * 4000 * 8 bytes = 128 MB
+        pts = np.random.default_rng(2).standard_normal((4000, 3))
+        tracemalloc.start()
+        try:
+            result = select_dpp(pts, 4000, KernelSpec(kind))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sorted(result.selected) == list(range(4000))
+        assert peak < 4 << 20
+
+    def test_rbf_factor_is_checked_against_physical_memory(self):
+        # a 200K x 200K float64 factor is 320 GB
+        pts = np.zeros((200_000, 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="320000000000 bytes"):
+                select_dpp(pts, 200_000, KernelSpec("rbf", 0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
 
     def test_warns_once_when_jitter_decides_picks(self, rng):
         pts = rng.normal(size=(30, 3))
