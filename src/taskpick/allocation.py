@@ -8,6 +8,10 @@ Three strategies split an annotation budget across tasks:
   confidence, clamped between a base floor and the task size;
 * ``allocate_active_it`` spends whole tasks in ascending-confidence order.
 
+The first two are one problem: find C with ``clip(C * w, lo, hi)`` summing
+to the budget. ``_level`` solves it exactly; water filling is its case
+w = 1, lo = 0, hi = the task sizes.
+
 Allocations stay real-valued here; rounding to integers is the sampler's
 job (see ``selectors.round_robin``).
 """
@@ -27,18 +31,19 @@ _CEIL_EPS = 1e-9
 class AllocationVector:
     """Per-task real-valued budget split.
 
-    ``feasible`` is False when the requested budget had to be capped at
-    the pool size or when the base floor could not be honored; the
-    warnings say which. ``tasks`` is None for label-free instances,
-    which align positionally with a partition.
+    The warnings say when the requested budget had to be capped at the
+    pool size or the base floor could not be honored; ``feasible`` means
+    there are none. ``tasks`` is None for label-free instances, which
+    align positionally with a partition.
     """
 
     alpha: np.ndarray
-    budget: int
-    feasible: bool
-    strategy: str
     tasks: tuple[str, ...] | None = None
     warnings: tuple[str, ...] = ()
+
+    @property
+    def feasible(self) -> bool:
+        return not self.warnings
 
 
 def ceil_allocation(alpha) -> np.ndarray:
@@ -46,176 +51,102 @@ def ceil_allocation(alpha) -> np.ndarray:
     return np.maximum(np.ceil(np.asarray(alpha, dtype=np.float64) - _CEIL_EPS), 0).astype(int)
 
 
-def _validated_counts(counts) -> np.ndarray:
+def _prologue(counts, budget: int, task_conf: TaskConfidence | None = None):
+    """Validated counts, the budget capped at the pool size, and the cap's warning."""
     counts = np.asarray(counts, dtype=np.int64)
     if counts.size == 0:
         raise NoTasks("allocation requested over an empty task list")
     if np.any(counts < 1):
         raise ConfigError("every task must have at least one available example")
-    return counts
-
-
-def _cap_budget(budget: int, total: int):
+    if task_conf is not None and len(task_conf.tasks) != len(counts):
+        raise ConfigError("task confidences and counts cover different numbers of tasks")
     if budget < 1:
         raise InvalidBudget(f"budget must be >= 1, got {budget}")
+    total = int(counts.sum())
     if budget > total:
-        return total, [f"budget {budget} exceeds pool size {total}; capped at {total}"]
-    return budget, []
+        return counts, total, [f"budget {budget} exceeds pool size {total}; capped at {total}"]
+    return counts, budget, []
 
 
-def _water_fill(counts: np.ndarray, target: int) -> np.ndarray:
-    # Saturate tasks in ascending size until the remaining budget spread
-    # evenly over the remaining tasks no longer covers the next size;
-    # that spread is the water level.
-    alpha = np.zeros(len(counts))
-    order = np.argsort(counts, kind="stable")
-    left = int(target)
-    for rank, idx in enumerate(order):
-        rest = len(counts) - rank
-        if counts[idx] * rest <= left:
-            alpha[idx] = counts[idx]
-            left -= int(counts[idx])
+def _vector(alpha: np.ndarray, tasks, warnings) -> AllocationVector:
+    alpha.flags.writeable = False
+    return AllocationVector(
+        alpha=alpha, tasks=tuple(tasks) if tasks is not None else None, warnings=tuple(warnings)
+    )
+
+
+def _level(weights: np.ndarray, lo: np.ndarray, hi: np.ndarray, target: int) -> np.ndarray:
+    """``clip(C * weights, lo, hi)`` summing to ``target``, for lo.sum() <= target.
+
+    The spend is a continuous, piecewise-linear, non-decreasing function
+    of C whose kinks are the clamp breakpoints lo/w and hi/w. A binary
+    search over the sorted breakpoints finds the linear piece that
+    reaches the target, and C is solved in closed form on it.
+    """
+    if target >= hi.sum():
+        return hi.copy()
+    c_lo = lo / weights
+    c_hi = hi / weights
+    brk = np.unique(np.concatenate(([0.0], c_lo, c_hi)))
+    # first breakpoint whose spend reaches the target
+    lo_i, hi_i = 0, len(brk) - 1
+    while lo_i < hi_i:
+        mid = (lo_i + hi_i) // 2
+        if np.clip(brk[mid] * weights, lo, hi).sum() < target:
+            lo_i = mid + 1
         else:
-            remaining = order[rank:]
-            alpha[remaining] = np.minimum(counts[remaining], left / rest)
-            break
-    return alpha
+            hi_i = mid
+    c = 0.0
+    if lo_i:
+        a, b = brk[lo_i - 1], brk[lo_i]
+        ramp_weight = weights[(c_lo <= a) & (c_hi >= b)].sum()
+        fixed = hi[c_hi <= a].sum() + lo[c_lo >= b].sum()
+        c = a if ramp_weight == 0.0 else min(max((target - fixed) / ramp_weight, a), b)
+    return np.clip(c * weights, lo, hi)
+
+
+def _water_level(counts: np.ndarray, target: int) -> np.ndarray:
+    return _level(np.ones(len(counts)), np.zeros(len(counts)), counts.astype(np.float64), target)
 
 
 def allocate_task_diversity(counts, budget: int, tasks=None) -> AllocationVector:
     """Minimize the largest per-task allocation subject to full budget use
     and per-task availability. Water filling solves this exactly."""
-    counts = _validated_counts(counts)
-    target, warnings = _cap_budget(budget, int(counts.sum()))
-    alpha = _water_fill(counts, target)
-    alpha.flags.writeable = False
-    return AllocationVector(
-        alpha=alpha,
-        budget=budget,
-        feasible=not warnings,
-        strategy="task_diversity",
-        tasks=tuple(tasks) if tasks is not None else None,
-        warnings=tuple(warnings),
-    )
-
-
-def _spent(c: float, inv: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
-    return float(np.clip(c * inv, lo, hi).sum())
-
-
-def _bisect_c(inv, lo, hi, target, c_max: float) -> float:
-    a, b = 0.0, c_max
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if _spent(mid, inv, lo, hi) < target:
-            a = mid
-        else:
-            b = mid
-    return b
+    counts, target, warnings = _prologue(counts, budget)
+    return _vector(_water_level(counts, target), tasks, warnings)
 
 
 def allocate_weighted(counts, task_conf: TaskConfidence, budget: int, base: int = 5) -> AllocationVector:
     """Clamped inverse-confidence allocation.
 
     Solves for the constant ``C`` with ``alpha_t = clamp(C / conf_t,
-    min(base, counts_t), counts_t)`` summing to the budget. The spend is
-    a continuous, piecewise-linear, non-decreasing function of ``C``, so
-    an exact sweep over the sorted clamp-activation points finds the
-    linear segment containing the budget; bisection is kept as a
-    numerical fallback. When even the base floors overshoot the budget,
-    falls back to plain task-diversity water filling with a warning.
+    min(base, counts_t), counts_t)`` summing to the budget, exactly, by
+    the breakpoint sweep of ``_level``; there is no iterative fallback.
+    Water filling is the same solve with unit weights and zero floors:
+    when even the base floors overshoot the budget, the allocation falls
+    back to it, with a warning.
     """
-    counts = _validated_counts(counts)
     if base < 0:
         raise ConfigError(f"base allocation must be non-negative, got {base}")
-    if len(task_conf.tasks) != len(counts):
-        raise ConfigError("task confidences and counts cover different numbers of tasks")
-    target, warnings = _cap_budget(budget, int(counts.sum()))
-
+    counts, target, warnings = _prologue(counts, budget, task_conf)
     lo = np.minimum(base, counts).astype(np.float64)
-    hi = counts.astype(np.float64)
     if lo.sum() > target + 1e-9:
-        fallback = allocate_task_diversity(counts, budget, tasks=task_conf.tasks)
-        note = (
+        warnings.append(
             f"base allocation infeasible (task floors sum to {lo.sum():.0f} > budget"
             f" {target}); fell back to task-diversity water filling"
         )
-        return AllocationVector(
-            alpha=fallback.alpha,
-            budget=budget,
-            feasible=False,
-            strategy="weighted_task_diversity",
-            tasks=tuple(task_conf.tasks),
-            warnings=tuple(warnings) + (note,) + fallback.warnings,
-        )
-
-    conf = np.maximum(np.asarray(task_conf.values, dtype=np.float64), CONFIDENCE_FLOOR)
-    inv = 1.0 / conf
-
-    if target >= hi.sum():
-        alpha = hi.copy()
-    else:
-        # C values at which each task enters/leaves its linear ramp.
-        c_lo = lo / inv
-        c_hi = hi / inv
-        brk = np.unique(np.concatenate(([0.0], c_lo, c_hi)))
-        # Binary search for the first breakpoint whose spend reaches the target.
-        lo_i, hi_i = 0, len(brk) - 1
-        while lo_i < hi_i:
-            mid = (lo_i + hi_i) // 2
-            if _spent(brk[mid], inv, lo, hi) < target:
-                lo_i = mid + 1
-            else:
-                hi_i = mid
-        if lo_i == 0:
-            c = 0.0
-        else:
-            a, b = brk[lo_i - 1], brk[lo_i]
-            ramp = (c_lo <= a) & (c_hi >= b)
-            fixed = hi[c_hi <= a].sum() + lo[c_lo >= b].sum()
-            inv_sum = inv[ramp].sum()
-            c = a if inv_sum == 0.0 else (target - fixed) / inv_sum
-            c = min(max(c, a), b)
-        alpha = np.clip(c * inv, lo, hi)
-        if abs(alpha.sum() - target) > 1e-9:
-            c = _bisect_c(inv, lo, hi, target, float(c_hi.max()) + 1.0)
-            alpha = np.clip(c * inv, lo, hi)
-
-    alpha.flags.writeable = False
-    return AllocationVector(
-        alpha=alpha,
-        budget=budget,
-        feasible=not warnings,
-        strategy="weighted_task_diversity",
-        tasks=tuple(task_conf.tasks),
-        warnings=tuple(warnings),
-    )
+        return _vector(_water_level(counts, target), task_conf.tasks, warnings)
+    weights = 1.0 / np.maximum(np.asarray(task_conf.values, dtype=np.float64), CONFIDENCE_FLOOR)
+    alpha = _level(weights, lo, counts.astype(np.float64), target)
+    return _vector(alpha, task_conf.tasks, warnings)
 
 
 def allocate_active_it(counts, task_conf: TaskConfidence, budget: int) -> AllocationVector:
     """Spend whole tasks in ascending mean-confidence order (ties by label);
     the first task that no longer fits receives the leftover budget."""
-    counts = _validated_counts(counts)
-    if len(task_conf.tasks) != len(counts):
-        raise ConfigError("task confidences and counts cover different numbers of tasks")
-    target, warnings = _cap_budget(budget, int(counts.sum()))
-
-    labels = np.asarray(task_conf.tasks)
-    order = np.lexsort((labels, np.asarray(task_conf.values, dtype=np.float64)))
+    counts, target, warnings = _prologue(counts, budget, task_conf)
+    order = np.lexsort((np.asarray(task_conf.tasks), np.asarray(task_conf.values, dtype=np.float64)))
+    before = np.cumsum(counts[order]) - counts[order]
     alpha = np.zeros(len(counts))
-    left = int(target)
-    for idx in order:
-        take = min(int(counts[idx]), left)
-        alpha[idx] = take
-        left -= take
-        if left == 0:
-            break
-    alpha.flags.writeable = False
-    return AllocationVector(
-        alpha=alpha,
-        budget=budget,
-        feasible=not warnings,
-        strategy="active_it",
-        tasks=tuple(task_conf.tasks),
-        warnings=tuple(warnings),
-    )
+    alpha[order] = np.clip(target - before, 0, counts[order])
+    return _vector(alpha, task_conf.tasks, warnings)

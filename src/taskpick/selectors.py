@@ -24,7 +24,7 @@ from .allocation import (
     allocate_weighted,
     ceil_allocation,
 )
-from .errors import ConfigError, InvalidBudget, InvalidKernel, MissingScore
+from .errors import ConfigError, InvalidBudget, InvalidKernel, MissingScore, ValidationError
 from .pool import Pool, TaskPartition
 from .scoring import Scores, score_pool, task_mean_confidence
 
@@ -223,37 +223,51 @@ class _ColumnKernel:
     entries at a time.
 
     The full N x N kernel never exists in memory, which is what makes the
-    greedy selectors usable on pools of ~100K examples. ``entries`` counts
-    the kernel values computed so far.
+    greedy selectors usable on pools of ~100K examples. This is the one
+    place that forms squared norms, squared distances and the cosine
+    normalisation. ``entries`` counts the kernel values computed so far.
     """
 
     def __init__(self, embeddings: np.ndarray, spec: KernelSpec):
         self.spec = spec
-        if spec.kind == "cosine":
-            norms = np.sqrt((embeddings * embeddings).sum(axis=1))
-            self.points = embeddings / np.maximum(norms, 1e-30)[:, None]
-        else:
-            self.points = embeddings
-            self.sq_norms = (embeddings * embeddings).sum(axis=1)
         self.n = embeddings.shape[0]
+        self.points = embeddings
+        with np.errstate(over="ignore"):
+            self.sq_norms = (embeddings * embeddings).sum(axis=1)
+        # bounds every squared distance, column sum and k-center total
+        if not math.isfinite(4.0 * self.n * self.sq_norms.max(initial=0.0)):
+            raise ValidationError(
+                "embeddings are too large: 4 x N x their largest squared norm"
+                " overflows float64; rescale them"
+            )
+        if spec.kind == "cosine":
+            self.points = embeddings / np.maximum(np.sqrt(self.sq_norms), 1e-30)[:, None]
+            self.sq_norms = (self.points * self.points).sum(axis=1)
         self.entries = 0
+
+    def _similarity(self, gram: np.ndarray, rows, cols) -> np.ndarray:
+        """Kernel values from the Gram block of points[rows] and points[cols],
+        computed in place."""
+        self.entries += gram.size
+        if self.spec.kind == "cosine":
+            return gram
+        # squared distance (|a|^2 + |b|^2) - 2 a.b, clamped at 0; the
+        # euclidean similarity is its negation, rbf exp(-gamma * it)
+        gram *= -2.0
+        gram += np.add.outer(self.sq_norms[rows], self.sq_norms[cols])
+        np.maximum(gram, 0.0, out=gram)
+        gram *= -1.0 if self.spec.kind == "euclidean" else -self.spec.gamma
+        if self.spec.kind == "rbf":
+            np.exp(gram, out=gram)
+        return gram
 
     def cross(self, rows, cols) -> np.ndarray:
         """Similarity block K[rows, cols] for slices or index arrays."""
-        pts = self.points
-        out = pts[rows] @ pts[cols].T
-        self.entries += out.size
-        if self.spec.kind == "cosine":
-            return out
-        # negative squared distance, computed in place from the Gram block
-        out *= 2.0
-        out -= self.sq_norms[rows][:, None]
-        out -= self.sq_norms[cols][None, :]
-        np.minimum(out, 0.0, out=out)  # clamp cancellation noise
-        if self.spec.kind == "rbf":
-            out *= self.spec.gamma
-            np.exp(out, out=out)
-        return out
+        return self._similarity(self.points[rows] @ self.points[cols].T, rows, cols)
+
+    def column(self, j: int) -> np.ndarray:
+        """Similarity column K[:, j], as one matrix-vector product."""
+        return self._similarity(self.points @ self.points[j], slice(None), j)
 
     def tiles(self, rows, cols):
         """Yield (row span, column span, tile) covering K[rows, cols].
@@ -272,12 +286,6 @@ class _ColumnKernel:
                     rs if rows is None else rows[rs], cs if cols is None else cols[cs]
                 )
 
-    def column(self, j: int) -> np.ndarray:
-        out = np.empty(self.n)
-        for rs, _, tile in self.tiles(None, np.array([j])):
-            out[rs] = tile[:, 0]
-        return out
-
 
 def select_k_center(embeddings, budget: int, kernel: KernelSpec | None = None) -> SelectionResult:
     """Greedy farthest-first traversal under Euclidean distance.
@@ -290,18 +298,15 @@ def select_k_center(embeddings, budget: int, kernel: KernelSpec | None = None) -
     if kernel is not None and kernel.kind != "euclidean":
         raise InvalidKernel("k-center supports the euclidean kernel only")
     _check_budget(budget)
-    points = np.asarray(embeddings, dtype=np.float64)
-    n = points.shape[0]
+    kern = _ColumnKernel(np.asarray(embeddings, dtype=np.float64), KernelSpec("euclidean"))
+    points, sq_norms, n = kern.points, kern.sq_norms, kern.n
     k = min(budget, n)
 
-    sq_norms = (points * points).sum(axis=1)
     totals = n * sq_norms + sq_norms.sum() - 2.0 * (points @ points.sum(axis=0))
     first = int(np.argmin(totals))
 
     def dist_to(j: int) -> np.ndarray:
-        sq = sq_norms + sq_norms[j] - 2.0 * (points @ points[j])
-        np.maximum(sq, 0.0, out=sq)
-        return np.sqrt(sq)
+        return np.sqrt(-kern.column(j))
 
     chosen = np.zeros(n, dtype=bool)
     selected = [first]
@@ -516,7 +521,8 @@ def select_dpp(embeddings, budget: int, kernel: KernelSpec, jitter: float = 1e-6
     _check_budget(budget)
     if not (jitter > 0 and math.isfinite(jitter)):
         raise ConfigError(f"jitter must be positive and finite, got {jitter!r}")
-    points = np.asarray(embeddings, dtype=np.float64)
+    kern = _ColumnKernel(np.asarray(embeddings, dtype=np.float64), kernel)
+    points = kern.points
     n, d = points.shape
     k = min(budget, n)
     floor = _JITTER_MARGIN * jitter
@@ -531,15 +537,11 @@ def select_dpp(embeddings, budget: int, kernel: KernelSpec, jitter: float = 1e-6
                 f" physical memory is {have} bytes"
             )
         factors = np.zeros((k, n))
-        sq_norms = (points * points).sum(axis=1)
         residual = np.full(n, 1.0 + jitter)
     else:
-        if kernel.kind == "cosine":
-            norms = np.sqrt((points * points).sum(axis=1))
-            points = points / np.maximum(norms, 1e-30)[:, None]
         proj = np.zeros((d, d))  # P, before the switch
         whitened = None  # Z, after it
-        residual = (points * points).sum(axis=1) + jitter
+        residual = kern.sq_norms + jitter
 
     selected: list[int] = []
     trace: list[float] = []
@@ -572,9 +574,7 @@ def select_dpp(embeddings, budget: int, kernel: KernelSpec, jitter: float = 1e-6
         log_det += math.log(pivot)
         trace.append(log_det)
         if rbf:
-            sq = sq_norms + sq_norms[j] - 2.0 * (points @ points[j])
-            np.maximum(sq, 0.0, out=sq)
-            row = np.exp(-kernel.gamma * sq)
+            row = kern.column(j)
             row -= factors[:step, j] @ factors[:step]
             row /= math.sqrt(pivot)
             factors[step] = row

@@ -3,8 +3,8 @@
 Everything here is built from scipy/numpy primitives along different
 code paths than the production package (pairwise distances via cdist,
 log-dets via slogdet, the weighted allocation via bisection on the
-division form, round robin as an explicit pass loop), so agreement with
-the package is meaningful.
+division form, water filling, active_it and round robin as explicit
+loops), so agreement with the package is meaningful.
 """
 
 import numpy as np
@@ -105,6 +105,41 @@ def bisect_weighted_alpha(counts, conf, budget, base=5, iters=200):
         else:
             b = mid
     return np.clip(b / conf, lo, hi)
+
+
+def loop_water_fill(counts, target):
+    """Water filling as a loop over the tasks in ascending size."""
+    # Saturate tasks in ascending size until the remaining budget spread
+    # evenly over the remaining tasks no longer covers the next size;
+    # that spread is the water level.
+    alpha = np.zeros(len(counts))
+    order = np.argsort(counts, kind="stable")
+    left = int(target)
+    for rank, idx in enumerate(order):
+        rest = len(counts) - rank
+        if counts[idx] * rest <= left:
+            alpha[idx] = counts[idx]
+            left -= int(counts[idx])
+        else:
+            remaining = order[rank:]
+            alpha[remaining] = np.minimum(counts[remaining], left / rest)
+            break
+    return alpha
+
+
+def loop_active_it(counts, conf, labels, target):
+    """Whole tasks in ascending (confidence, label) order, one at a time,
+    until the target is spent."""
+    order = np.lexsort((np.asarray(labels), np.asarray(conf, dtype=np.float64)))
+    alpha = np.zeros(len(counts))
+    left = int(target)
+    for idx in order:
+        take = min(int(counts[idx]), left)
+        alpha[idx] = take
+        left -= take
+        if left == 0:
+            break
+    return alpha
 
 
 def loop_round_robin(partition, alpha, budget, seed):

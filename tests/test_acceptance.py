@@ -104,9 +104,7 @@ def test_criterion_3_round_robin_contract():
         alpha = rng.uniform(0.0, counts + 2.0)
         budget = int(rng.integers(1, counts.sum() + 4))
         seed = int(rng.integers(0, 2**32))
-        allocation = AllocationVector(
-            alpha=alpha, budget=budget, feasible=True, strategy="test", tasks=pool.partition.tasks
-        )
+        allocation = AllocationVector(alpha=alpha, tasks=pool.partition.tasks)
         result = round_robin(allocation, pool.partition, budget, seed)
 
         caps = ceil_allocation(alpha)

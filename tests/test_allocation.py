@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import oracle_minmax_allocation
-from reference import bisect_weighted_alpha
+from reference import bisect_weighted_alpha, loop_active_it, loop_water_fill
 from taskpick.allocation import (
     allocate_active_it,
     allocate_task_diversity,
@@ -150,7 +150,7 @@ class TestWeighted:
         assert np.allclose(alloc.alpha, fallback.alpha)
         assert not alloc.feasible
         assert any("infeasible" in w for w in alloc.warnings)
-        assert alloc.strategy == "weighted_task_diversity"
+        assert alloc.tasks == ("t0", "t1", "t2")
 
     def test_budget_above_pool_capped(self):
         alloc = allocate_weighted([4, 4], conf_of([0.2, 0.8]), 50)
@@ -194,6 +194,40 @@ class TestActiveIT:
                     seen_partial = True
                 elif seen_partial:
                     pytest.fail("whole task after a partial task")
+
+
+def test_closed_forms_match_the_loops_bytewise(rng):
+    # water filling (also the infeasible-floor fallback) and active_it
+    for _ in range(500):
+        n_tasks = int(rng.integers(1, 40))
+        counts = rng.integers(1, int(rng.choice([5, 200, 10**5])) + 1, size=n_tasks)
+        if rng.random() < 0.3:
+            counts = rng.choice([1, 4, 9], size=n_tasks)
+        conf = rng.choice([0.1, 0.5, 0.9], size=n_tasks) if rng.random() < 0.3 else rng.uniform(size=n_tasks)
+        labels = tuple(f"t{i:02d}" for i in rng.permutation(n_tasks))
+        budget = int(rng.integers(1, counts.sum() + 1))
+        level = loop_water_fill(counts, budget).tobytes()
+        assert allocate_task_diversity(counts, budget).alpha.tobytes() == level
+        base = int(counts.max()) + 1
+        if counts.sum() > budget:  # floors of whole tasks overshoot: fallback
+            assert allocate_weighted(counts, conf_of(conf, labels), budget, base=base).alpha.tobytes() == level
+        ref = loop_active_it(counts, conf, labels, budget).tobytes()
+        assert allocate_active_it(counts, conf_of(conf, labels), budget).alpha.tobytes() == ref
+
+
+def test_weighted_sweep_is_exact_at_large_targets(rng):
+    # targets where a 1e-9 absolute tolerance is below one ulp
+    for _ in range(300):
+        n_tasks = int(rng.integers(2, 400))
+        counts = rng.integers(1, 2 * 10**6, size=n_tasks)
+        conf = rng.uniform(1e-4, 1.0, size=n_tasks)
+        budget = int(rng.integers(10**7, max(10**7 + 1, counts.sum())))
+        if budget > counts.sum():
+            continue
+        for base in (0, 5, 60):
+            alpha = allocate_weighted(counts, conf_of(conf), budget, base=base).alpha
+            assert abs(alpha.sum() - budget) <= 1e-12 * budget
+            assert np.all(alpha >= np.minimum(base, counts)) and np.all(alpha <= counts)
 
 
 def test_ceil_allocation_absorbs_float_noise():

@@ -325,6 +325,23 @@ class TestSelect:
         assert code == 1
         assert len(err) == 1 and err[0].startswith(f"error: {bad}: not UTF-8 text")
 
+    @pytest.mark.parametrize("kernel", ["euclidean", "rbf", "cosine"])
+    @pytest.mark.parametrize("strategy", ["dpp", "k_center", "facility_location"])
+    def test_embeddings_whose_squares_overflow_exit_with_one_error_line(
+        self, tmp_path, capsys, strategy, kernel
+    ):
+        rows = [{"id": "x", "task": "t", "embedding": [1e200, 0.0]},
+                {"id": "y", "task": "t", "embedding": [0.0, 1.0]}]
+        pool = write_pool(tmp_path / "p.jsonl", rows)
+        out = tmp_path / "m.json"
+        code = main(["select", "--pool", pool, "--strategy", strategy, "--kernel", kernel,
+                     "--budget", "2", "--output", str(out)])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 1 and not out.exists()
+        assert len(err) == 1 and err[0].startswith("error:")
+        if strategy != "k_center" or kernel == "euclidean":
+            assert "overflow" in err[0]
+
     def test_strategy_error_exits_nonzero(self, tmp_path):
         pool = write_pool(tmp_path / "p.jsonl", [{"id": "x", "task": "t"}])
         out = tmp_path / "m.json"

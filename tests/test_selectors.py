@@ -19,7 +19,13 @@ from reference import (
     loop_round_robin,
 )
 from taskpick import selectors
-from taskpick.allocation import AllocationVector, allocate_task_diversity, ceil_allocation
+from taskpick.allocation import (
+    AllocationVector,
+    allocate_active_it,
+    allocate_task_diversity,
+    allocate_weighted,
+    ceil_allocation,
+)
 from taskpick.errors import (
     ConfigError,
     InvalidBudget,
@@ -29,7 +35,7 @@ from taskpick.errors import (
     MissingScore,
 )
 from taskpick.pool import Pool, PromptRecord
-from taskpick.scoring import log_confidence, margins, mean_entropy, score_pool
+from taskpick.scoring import log_confidence, margins, mean_entropy, score_pool, task_mean_confidence
 from taskpick.selectors import (
     KernelSpec,
     StrategyConfig,
@@ -44,14 +50,8 @@ from taskpick.selectors import (
 )
 
 
-def alloc_of(alpha, tasks=None, budget=1):
-    return AllocationVector(
-        alpha=np.asarray(alpha, dtype=np.float64),
-        budget=budget,
-        feasible=True,
-        strategy="test",
-        tasks=tasks,
-    )
+def alloc_of(alpha, tasks=None):
+    return AllocationVector(alpha=np.asarray(alpha, dtype=np.float64), tasks=tasks)
 
 
 class TestRoundRobin:
@@ -553,6 +553,25 @@ class TestRunStrategy:
         pool = make_pool({"a": 4, "b": 4, "c": 4}, confidences=confs)
         result = run_strategy(pool, StrategyConfig("active_it", budget=10, seed=0))
         assert result.per_task == {"a": 4, "b": 4, "c": 2}
+
+    @pytest.mark.parametrize("strategy", ["task_diversity", "weighted_task_diversity", "active_it"])
+    def test_library_composition_matches_run_strategy(self, rng, strategy):
+        # the README's Library section: allocate over the partition, then round robin
+        sizes = {f"task{t}": int(rng.integers(1, 40)) for t in range(12)}
+        confs = list(rng.uniform(0.02, 0.98, size=sum(sizes.values())))
+        pool = make_pool(sizes, confidences=confs)
+        budget, seed = 90, 5
+        counts, conf = pool.partition.counts, task_mean_confidence(pool)
+        if strategy == "task_diversity":
+            alloc = allocate_task_diversity(counts, budget, tasks=pool.partition.tasks)
+        elif strategy == "weighted_task_diversity":
+            alloc = allocate_weighted(counts, conf, budget, base=5)
+        else:
+            alloc = allocate_active_it(counts, conf, budget)
+        composed = round_robin(alloc, pool.partition, budget, seed)
+        result = run_strategy(pool, StrategyConfig(strategy, budget=budget, seed=seed))
+        assert composed.selected == result.selected
+        assert composed.per_task == result.per_task
 
     def test_random_full_budget(self):
         pool = make_pool({"a": 5})
