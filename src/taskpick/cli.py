@@ -13,7 +13,7 @@ import sys
 import tempfile
 
 from .errors import ParseError, TaskpickError
-from .pool import _not_utf8, _parse_json, load_pool
+from .pool import _SURROGATE, _not_utf8, _parse_json, load_pool
 from .scoring import read_scores, render_scores, score_pool
 from .selectors import (
     STRATEGIES,
@@ -109,6 +109,8 @@ def cmd_report(args) -> int:
     manifest = _parse_json(text, args.manifest)
     if not isinstance(manifest, dict):
         raise ParseError(f"{args.manifest}: manifest is not an object")
+    if _SURROGATE.search(json.dumps(manifest, ensure_ascii=False)):
+        raise ParseError(f"{args.manifest}: manifest holds a lone surrogate, which is not valid Unicode")
     fields = []
     for key, (kind, default) in _MANIFEST.items():
         value = manifest.get(key)

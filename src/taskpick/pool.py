@@ -3,7 +3,9 @@
 A pool file is JSON Lines: one record per line, each an object with
 
 * ``id`` (string, unique across the pool),
-* ``task`` (string label, matched exactly, never normalized),
+* ``task`` (string label, matched exactly, never normalized; it and
+  ``id`` must be Unicode text, so a lone surrogate such as JSON's
+  ``"\\ud800"`` is rejected),
 * ``embedding`` (optional array of reals, same length for every record),
 * ``confidence`` (optional real in (0, 1]),
 * ``token_probs`` (optional array of per-position probability arrays;
@@ -20,6 +22,7 @@ In memory a pool is a set of columns, one entry per record in line order.
 
 import json
 import os
+import re
 import struct
 import sys
 from array import array
@@ -39,6 +42,9 @@ from .errors import (
 _SIDECAR_HEADER = struct.Struct("<QQ")
 _NUMBERS = frozenset((int, float))
 _FIELDS = ("id", "task", "confidence", "token_probs", "embedding")
+# A JSON escape such as "\ud800" decodes to a lone surrogate: valid JSON,
+# but not Unicode text, and no UTF-8 output or hash input can hold it.
+_SURROGATE = re.compile("[\\ud800-\\udfff]")
 
 
 @dataclass(frozen=True)
@@ -278,6 +284,9 @@ def _parse_record(obj, path, line_no):
         fail("missing or invalid 'id'")
     if not isinstance(task, str) or not task:
         fail("missing or invalid 'task'")
+    for name, text in (("id", rec_id), ("task", task)):
+        if not text.isascii() and _SURROGATE.search(text):
+            fail(f"'{name}' holds a lone surrogate, which is not valid Unicode")
     if embedding is not None and (
         type(embedding) is not list or not _NUMBERS.issuperset(map(type, embedding))
     ):

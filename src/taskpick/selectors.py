@@ -10,7 +10,6 @@ All argmax reductions break ties toward the lowest index.
 """
 
 import hashlib
-import heapq
 import math
 import os
 from dataclasses import dataclass, field
@@ -34,10 +33,9 @@ _TILE_FLOATS = 1 << 20
 # pick is the lowest index among them, so float noise cannot decide it.
 _TIE_RTOL = 1e-12
 # Facility location's front of exactly-tracked candidates is halved when it
-# grows past _DEMOTE_CAP; candidates are evaluated in batches growing to
-# _ABSORB_CAP.
-_DEMOTE_CAP = 256
-_ABSORB_CAP = 256
+# grows past _FRONT_CAP, and stale candidates join it in batches growing to
+# _FRONT_CAP, so no batch more than doubles a full front.
+_FRONT_CAP = 256
 # DPP pivots below this multiple of the jitter are jitter, not kernel.
 _JITTER_MARGIN = 1e3
 
@@ -292,8 +290,9 @@ def select_k_center(embeddings, budget: int, kernel: KernelSpec | None = None) -
 
     The first center is the point with minimum total squared distance to
     the rest (the dataset medoid); each later center is the point
-    farthest from its nearest chosen center. The trace records the
-    covering radius after each pick.
+    farthest from its nearest chosen center. Both picks are the lowest
+    index within _TIE_RTOL (relative) of the best, as in the other greedy
+    selectors. The trace records the covering radius after each pick.
     """
     if kernel is not None and kernel.kind != "euclidean":
         raise InvalidKernel("k-center supports the euclidean kernel only")
@@ -303,7 +302,7 @@ def select_k_center(embeddings, budget: int, kernel: KernelSpec | None = None) -
     k = min(budget, n)
 
     totals = n * sq_norms + sq_norms.sum() - 2.0 * (points @ points.sum(axis=0))
-    first = int(np.argmin(totals))
+    first, _ = _lowest_near_max(-totals)
 
     def dist_to(j: int) -> np.ndarray:
         return np.sqrt(-kern.column(j))
@@ -316,7 +315,7 @@ def select_k_center(embeddings, budget: int, kernel: KernelSpec | None = None) -
     trace = [float(min_dist.max())]
     while len(selected) < k:
         candidates = np.where(chosen, -np.inf, min_dist)
-        nxt = int(np.argmax(candidates))
+        nxt, _ = _lowest_near_max(candidates)
         selected.append(nxt)
         chosen[nxt] = True
         np.minimum(min_dist, dist_to(nxt), out=min_dist)
@@ -357,20 +356,22 @@ def select_facility_location(embeddings, budget: int, kernel: KernelSpec) -> Sel
     from the tiles K[A, B] with B >= A, each computed once and summed
     along both axes, since K is symmetric.
 
-    Laziness is two-tier, and exact at both tiers. A heap holds upper
-    bounds on the gains; a candidate is only trusted after its exact
-    gain is computed. The bounds start from the column sums and later
-    become stale exact gains, which submodularity keeps valid. Evaluated
-    candidates move to a "front" whose gains are kept exact at every
-    step by subtracting the coverage each new center steals, which needs
-    only the kernel between the captured points and the front. That
-    incremental update is what keeps near-tie regimes (thousands of
-    candidates within rounding of the best gain) from forcing full
-    column recomputes on every step.
+    Laziness is Minoux's, and exact: ``gain`` holds one value per
+    candidate, and the mask ``front`` marks the candidates whose value is
+    exact. Front gains stay exact by subtracting the coverage each new
+    center steals, which needs only the kernel between the captured points
+    and the front, so near ties (thousands of candidates within rounding
+    of the best gain) do not force full column recomputes at every step.
+    Other values are upper bounds: the column-sum seed, or the exact gain
+    at demotion, which submodularity keeps valid. Before each pick, stale
+    candidates whose bound reaches the front's tie window get their exact
+    gain and join the front, in batches growing to _FRONT_CAP; past
+    _FRONT_CAP members the cold half goes stale. A pick's value becomes
+    NaN, which fails every comparison, so no pick re-enters; -inf would
+    not do, as an empty front puts the window's floor at -inf too.
 
     ``stats`` counts the work: kernel entries computed, exact gain
-    evaluations, candidates demoted from the front back to the heap, and
-    picks that had a near tie.
+    evaluations, candidates demoted from the front, and near-tie picks.
     """
     _check_budget(budget)
     points = np.asarray(embeddings, dtype=np.float64)
@@ -404,77 +405,62 @@ def select_facility_location(embeddings, budget: int, kernel: KernelSpec) -> Sel
         stats["gain_evaluations"] += idx.size
         return gains
 
-    # Heap of upper bounds on gain(c | {first}), seeded without a second
-    # kernel pass: every term max(K(i,c) - best_i, 0) is at most
-    # K(i,c) - low, so the gain is at most col_sums[c] - n * low. The
-    # relative slack keeps the bounds above the exact gains when the two
-    # are rounded differently (they sum in other orders, over tiles of
-    # other shapes).
-    heap: list[tuple[float, int]] = []
-    if k > 1:
-        bounds = col_sums - n * low
-        bounds += 1e-9 * (np.abs(col_sums) + n * abs(low))
-        heap = [(-b, c) for c, b in enumerate(bounds.tolist()) if c != first]
-        heapq.heapify(heap)
-
-    # Front of candidates with exactly-maintained gains, kept index-sorted
-    # so the lowest-index near-max is the first one found. A small front
-    # keeps the per-step capture updates cheap; demoted candidates
-    # re-enter through the heap with tight bounds, so churn stays low.
-    front_idx = np.empty(0, dtype=np.intp)
-    front_gain = np.empty(0)
+    # The seed bound needs no second kernel pass: every term
+    # max(K(i,c) - best_i, 0) is at most K(i,c) - low, so the gain is at
+    # most col_sums[c] - n * low. The relative slack keeps it above the
+    # exact gains when the two are rounded differently (they sum in other
+    # orders, over tiles of other shapes).
+    gain = col_sums - n * low
+    gain += 1e-9 * (np.abs(col_sums) + n * abs(low))
+    gain[first] = np.nan
+    front = np.zeros(n, dtype=bool)
 
     while len(selected) < k:
         # absorb every stale candidate whose bound reaches the tie window
-        # of the front's best, so no tied candidate stays in the heap
+        # of the front's best, so no tied candidate stays stale; highest
+        # bound first, lowest index among equal bounds
         batch = 64
-        while heap:
-            top = front_gain.max() if front_gain.size else -np.inf
-            floor = top - _TIE_RTOL * abs(top)
-            if -heap[0][0] < floor:
+        while True:
+            members = np.flatnonzero(front)
+            top = gain[members].max(initial=-np.inf)
+            stale = np.flatnonzero(~front & (gain >= top - _TIE_RTOL * abs(top)))
+            if not stale.size:
                 break
-            absorbed = [heapq.heappop(heap)[1]]
-            while heap and len(absorbed) < batch and -heap[0][0] >= floor:
-                absorbed.append(heapq.heappop(heap)[1])
-            absorbed = np.asarray(absorbed, dtype=np.intp)
-            merged = np.concatenate([front_idx, absorbed])
-            gains = np.concatenate([front_gain, exact_gains(absorbed)])
-            order = np.argsort(merged, kind="stable")
-            front_idx, front_gain = merged[order], gains[order]
-            batch = min(batch * 4, _ABSORB_CAP)
+            absorbed = stale[np.argsort(-gain[stale], kind="stable")[:batch]]
+            gain[absorbed] = exact_gains(absorbed)
+            front[absorbed] = True
+            batch = min(batch * 4, _FRONT_CAP)
 
-        pos, tied = _lowest_near_max(front_gain)
+        # members is index-sorted, so its first near-max is the lowest index
+        pos, tied = _lowest_near_max(gain[members])
         stats["near_tie_picks"] += tied
-        chosen = int(front_idx[pos])
+        chosen = int(members[pos])
         selected.append(chosen)
-        front_idx = np.delete(front_idx, pos)
-        front_gain = np.delete(front_gain, pos)
+        gain[chosen] = np.nan
+        front[chosen] = False
+        members = np.delete(members, pos)
 
         column = cols.column(chosen)
         captured = np.flatnonzero(column > best)
-        if captured.size and front_idx.size:
+        if captured.size and members.size:
             # a captured point i moves from old_i to new_i, so candidate c
             # loses clip(K(i,c), old_i, new_i) - old_i of its gain
             old_best = best[captured]
             new_best = column[captured]
-            loss = np.zeros(front_idx.size)
-            for rs, cs, tile in cols.tiles(captured, front_idx):
+            loss = np.zeros(members.size)
+            for rs, cs, tile in cols.tiles(captured, members):
                 np.clip(tile, old_best[rs, None], new_best[rs, None], out=tile)
                 tile -= old_best[rs, None]
                 loss[cs] += tile.sum(axis=0)
-            front_gain -= loss
+            gain[members] -= loss
         best[captured] = column[captured]
         trace.append(float(best.sum()))
 
-        if front_idx.size > _DEMOTE_CAP:
-            # push the cold half back as (tight) stale bounds
-            keep = np.argsort(front_gain, kind="stable")[front_idx.size // 2 :]
-            drop = np.setdiff1d(np.arange(front_idx.size), keep, assume_unique=True)
-            for i in drop:
-                heapq.heappush(heap, (-float(front_gain[i]), int(front_idx[i])))
-            stats["front_demotions"] += drop.size
-            keep.sort()
-            front_idx, front_gain = front_idx[keep], front_gain[keep]
+        if members.size > _FRONT_CAP:
+            # the cold half goes stale, its exact gains left as tight bounds
+            cold = members[np.argsort(gain[members], kind="stable")[: members.size // 2]]
+            front[cold] = False
+            stats["front_demotions"] += cold.size
 
     return SelectionResult(
         selected=selected,

@@ -40,6 +40,23 @@ def fl_lowest_near_max_pick(kernel_matrix, chosen, rtol=1e-12):
     return int(np.flatnonzero(gains >= top - rtol * abs(top))[0])
 
 
+def kcenter_lowest_near_max_pick(points, chosen, rtol=1e-12):
+    """The greedy k-center pick after ``chosen``, from dense cdist
+    distances: the lowest index within ``rtol`` (relative) of the largest
+    distance to the nearest chosen point. With nothing chosen it is the
+    lowest index within ``rtol`` of the smallest total squared distance
+    (the medoid)."""
+    points = np.asarray(points, dtype=np.float64)
+    if not chosen:
+        totals = cdist(points, points, "sqeuclidean").sum(axis=1)
+        low = totals.min()
+        return int(np.flatnonzero(totals <= low + rtol * abs(low))[0])
+    nearest = cdist(points, points[list(chosen)]).min(axis=1)
+    nearest[list(chosen)] = -np.inf
+    top = nearest.max()
+    return int(np.flatnonzero(nearest >= top - rtol * abs(top))[0])
+
+
 def dpp_kernel(points, kind, gamma=None):
     """Similarity matrix under DPP semantics (euclidean = inner product)."""
     points = np.asarray(points, dtype=np.float64)

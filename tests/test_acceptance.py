@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import make_pool
+from desk import desk_arrays
 from oracles import oracle_greedy_step, oracle_kcenter_radius, oracle_minmax_allocation
 from reference import (
     bisect_weighted_alpha,
@@ -216,35 +217,18 @@ def test_criterion_6_scoring_numerics():
 
 @pytest.fixture(scope="module")
 def desk_scale_inputs(tmp_path_factory):
-    """Synthetic 90K x 64 pool over 1,691 tasks, confidences plus embeddings.
-
-    Task sizes are heavy-tailed and each task forms its own embedding
-    mode (center plus per-task radius), so the embedding cloud has more
-    density modes than the selection budget, as task-partitioned corpora
-    do.
-    """
-    rng = np.random.default_rng(707)
-    n, dim, n_tasks = 90_000, 64, 1_691
+    """tests/desk.py's synthetic 90K x 64 pool over 1,691 tasks at seed 707,
+    confidences plus a sidecar of embeddings."""
+    labels, assign, conf, emb = desk_arrays(707)
     root = tmp_path_factory.mktemp("desk")
-    labels = [f"task{i:04d}" for i in range(n_tasks)]
-    weights = 1.0 / np.arange(1, n_tasks + 1) ** 0.9
-    weights /= weights.sum()
-    assign = np.concatenate(
-        [np.arange(n_tasks), rng.choice(n_tasks, size=n - n_tasks, p=weights)]
-    )
-    conf = rng.uniform(0.01, 0.99, size=n)
     lines = [
         json.dumps({"id": f"p{i:06d}", "task": labels[assign[i]], "confidence": float(conf[i])})
-        for i in range(n)
+        for i in range(len(assign))
     ]
     pool_path = root / "pool.jsonl"
     pool_path.write_text("\n".join(lines) + "\n")
-
-    centers = 8.0 * rng.standard_normal((n_tasks, dim))
-    radii = np.exp(rng.normal(0.0, 0.5, size=n_tasks))
-    emb = centers[assign] + radii[assign][:, None] * rng.standard_normal((n, dim))
     emb_path = root / "embeddings.bin"
-    write_embeddings(emb_path, emb.astype(np.float32))
+    write_embeddings(emb_path, emb)
     return str(pool_path), str(emb_path)
 
 

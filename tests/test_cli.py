@@ -325,6 +325,20 @@ class TestSelect:
         assert code == 1
         assert len(err) == 1 and err[0].startswith(f"error: {bad}: not UTF-8 text")
 
+    @pytest.mark.parametrize("field", ["id", "task"])
+    @pytest.mark.parametrize("strategy", ["task_diversity", "weighted_task_diversity", "active_it"])
+    def test_lone_surrogate_exits_with_one_error_line(self, tmp_path, capsys, strategy, field):
+        # "\ud800" is valid JSON for a string that is not valid Unicode
+        rows = [{"id": i, "task": "t", "confidence": 0.5} for i in "ab"]
+        rows[1][field] = "\ud800"
+        pool = write_pool(tmp_path / "p.jsonl", rows)
+        out = tmp_path / "m.json"
+        code = main(["select", "--pool", pool, "--strategy", strategy, "--budget", "2",
+                     "--output", str(out)])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 1 and not out.exists()
+        assert err == [f"error: {pool}:2: '{field}' holds a lone surrogate, which is not valid Unicode"]
+
     @pytest.mark.parametrize("kernel", ["euclidean", "rbf", "cosine"])
     @pytest.mark.parametrize("strategy", ["dpp", "k_center", "facility_location"])
     def test_embeddings_whose_squares_overflow_exit_with_one_error_line(
@@ -432,6 +446,8 @@ class TestReport:
             {"strategy": "x", "per_task": {"a": 1}, "selected_ids": ["a"], "params": ["budget"]},
             {"strategy": "x", "per_task": {"a": 1}, "selected_ids": ["a"], "allocation": ["a"]},
             {"strategy": "x", "per_task": {"a": 1}, "selected_ids": ["a"], "objective_trace": [10**400]},
+            {"strategy": "x", "per_task": {"\ud800": 1}, "selected_ids": ["a"]},
+            {"strategy": "x", "per_task": {"a": 1}, "selected_ids": ["a"], "warnings": ["\udfff"]},
         ],
     )
     def test_malformed_manifest_shapes_exit_with_one_error_line(self, tmp_path, capsys, manifest):

@@ -16,6 +16,7 @@ from reference import (
     fl_kernel,
     fl_lowest_near_max_pick,
     fl_objective,
+    kcenter_lowest_near_max_pick,
     loop_round_robin,
 )
 from taskpick import selectors
@@ -247,6 +248,16 @@ class TestKCenter:
         result = select_k_center(pts, 3)
         assert len(set(result.selected)) == 3
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_pick_is_the_lowest_near_max(self, seed):
+        # the points share one norm and sum to zero, so every total squared
+        # distance ties, and so do the farthest points of each step; float
+        # noise would otherwise decide these picks
+        pts = mirrored_pairs(seed=seed)
+        result = select_k_center(pts, len(pts))
+        for step, pick in enumerate(result.selected):
+            assert pick == kcenter_lowest_near_max_pick(pts, result.selected[:step]), step
+
     def test_two_approximation_small(self, rng):
         for _ in range(40):
             n = int(rng.integers(3, 11))
@@ -301,6 +312,17 @@ class TestFacilityLocation:
                     assert result.objective_trace[step] == pytest.approx(
                         objective(tuple(chosen)), rel=1e-9
                     )
+
+    @pytest.mark.parametrize("kind, gamma", [("euclidean", None), ("rbf", 0.5), ("cosine", None)])
+    def test_picks_never_repeat(self, kind, gamma):
+        # once a copy is picked, its duplicates' gain is zero, as a pick's
+        # own is; an empty front, as at the start, must not let a pick back in
+        pts = np.array([[1.0, 2.0]] * 3 + [[5.0, 5.0]])
+        result = select_facility_location(pts, 4, KernelSpec(kind, gamma))
+        assert result.selected == [0, 3, 1, 2]
+        pts = np.repeat(np.random.default_rng(5).normal(size=(20, 3)), 2, axis=0)
+        result = select_facility_location(pts, 40, KernelSpec(kind, gamma))
+        assert sorted(result.selected) == list(range(40))
 
     def test_trace_non_decreasing(self, rng):
         pts = rng.normal(size=(30, 4))
@@ -362,6 +384,18 @@ class TestFacilityLocationTiles:
             assert result.objective_trace[-1] == pytest.approx(
                 reference.objective_trace[-1], rel=1e-12
             )
+
+    def test_picks_do_not_depend_on_the_front_cap(self, rng, monkeypatch):
+        centers = 4.0 * rng.standard_normal((12, 5))
+        pts = centers[rng.integers(0, 12, size=700)] + rng.standard_normal((700, 5))
+        for spec in (KernelSpec("rbf", 0.05), KernelSpec("euclidean"), KernelSpec("cosine")):
+            reference = select_facility_location(pts, 60, spec)
+            for cap in (2, 16, 256, 10**9):
+                monkeypatch.setattr(selectors, "_FRONT_CAP", cap)
+                result = select_facility_location(pts, 60, spec)
+                assert result.selected == reference.selected, (spec.kind, cap)
+                assert result.objective_trace == reference.objective_trace
+            monkeypatch.undo()
 
     def test_stats_repeat_exactly(self, rng):
         emb = rng.normal(size=(300, 4))
