@@ -27,10 +27,6 @@ from .pool import (
 from .scoring import (
     Scores,
     TaskConfidence,
-    confidence,
-    log_confidence,
-    margins,
-    mean_entropy,
     score_pool,
     task_mean_confidence,
 )
@@ -67,12 +63,8 @@ __all__ = [
     "allocate_task_diversity",
     "allocate_weighted",
     "ceil_allocation",
-    "confidence",
     "load_pool",
-    "log_confidence",
     "manifest_payload",
-    "margins",
-    "mean_entropy",
     "read_embeddings",
     "round_robin",
     "run_strategy",

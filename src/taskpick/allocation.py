@@ -51,6 +51,11 @@ def ceil_allocation(alpha) -> np.ndarray:
     return np.maximum(np.ceil(np.asarray(alpha, dtype=np.float64) - _CEIL_EPS), 0).astype(int)
 
 
+def _check_budget(budget: int) -> None:
+    if budget < 1:
+        raise InvalidBudget(f"budget must be >= 1, got {budget}")
+
+
 def _prologue(counts, budget: int, task_conf: TaskConfidence | None = None):
     """Validated counts, the budget capped at the pool size, and the cap's warning."""
     counts = np.asarray(counts, dtype=np.int64)
@@ -60,8 +65,7 @@ def _prologue(counts, budget: int, task_conf: TaskConfidence | None = None):
         raise ConfigError("every task must have at least one available example")
     if task_conf is not None and len(task_conf.tasks) != len(counts):
         raise ConfigError("task confidences and counts cover different numbers of tasks")
-    if budget < 1:
-        raise InvalidBudget(f"budget must be >= 1, got {budget}")
+    _check_budget(budget)
     total = int(counts.sum())
     if budget > total:
         return counts, total, [f"budget {budget} exceeds pool size {total}; capped at {total}"]

@@ -16,6 +16,7 @@ from .errors import ParseError, TaskpickError
 from .pool import _SURROGATE, _not_utf8, _parse_json, load_pool
 from .scoring import read_scores, render_scores, score_pool
 from .selectors import (
+    _DEFAULT_KERNELS,
     STRATEGIES,
     KernelSpec,
     StrategyConfig,
@@ -49,10 +50,9 @@ def cmd_score(args) -> int:
 
 
 def _resolve_kernel(args) -> KernelSpec | None:
-    if args.kernel is None:
-        return None
-    gamma = args.gamma if args.kernel == "rbf" else None
-    return KernelSpec(args.kernel, gamma)
+    """--kernel, else the strategy's default kind, with --gamma applied when it is rbf."""
+    kind = args.kernel or _DEFAULT_KERNELS.get(args.strategy)
+    return None if kind is None else KernelSpec(kind, args.gamma if kind == "rbf" else None)
 
 
 def cmd_select(args) -> int:
@@ -194,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="similarity for geometric strategies; default depends on the strategy"
         " (k_center/dpp: euclidean, facility_location: rbf)",
     )
-    select.add_argument("--gamma", type=float, default=0.1, help="rbf bandwidth (default: 0.1)")
+    select.add_argument("--gamma", type=float, default=None, help="rbf bandwidth (default: 0.1)")
     select.add_argument(
         "--jitter", type=float, default=1e-6, help="dpp diagonal jitter (default: 1e-6)"
     )
@@ -217,10 +217,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except TaskpickError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (TaskpickError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,7 +6,8 @@ class TaskpickError(Exception):
 
 
 class ParseError(TaskpickError):
-    """A pool, cache, or manifest file is structurally malformed."""
+    """A pool record, or a pool, cache, or manifest file, is structurally
+    malformed."""
 
 
 class ValidationError(TaskpickError):
@@ -24,15 +25,6 @@ class ShapeError(TaskpickError):
 
 class DegenerateProbability(TaskpickError):
     """A realized-token probability is zero or negative."""
-
-
-class EmptySequence(TaskpickError):
-    """A token-probability trace has no positions."""
-
-
-class InsufficientCandidates(TaskpickError):
-    """A margin score needs at least two candidate probabilities per
-    position."""
 
 
 class MissingConfidence(TaskpickError):

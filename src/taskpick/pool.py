@@ -41,6 +41,8 @@ from .errors import (
 
 _SIDECAR_HEADER = struct.Struct("<QQ")
 _NUMBERS = frozenset((int, float))
+_SEQUENCES = frozenset((list, tuple))
+_REALS = (int, float, np.integer, np.floating)
 _FIELDS = ("id", "task", "confidence", "token_probs", "embedding")
 # A JSON escape such as "\ud800" decodes to a lone surrogate: valid JSON,
 # but not Unicode text, and no UTF-8 output or hash input can hold it.
@@ -90,32 +92,62 @@ def _offsets(lengths) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
 
 
+def _is_vector(values) -> bool:
+    """A list or tuple of Python or numpy reals, or a 1-D integer or float ndarray."""
+    if type(values) in _SEQUENCES:  # exact types first: the fast path for parsed JSON
+        return _NUMBERS.issuperset(map(type, values)) or all(
+            isinstance(v, _REALS) and type(v) is not bool for v in values)
+    return isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iuf"
+
+
+def _is_trace(trace) -> bool:
+    """A list or tuple of vectors (see ``_is_vector``)."""
+    return type(trace) in _SEQUENCES and (
+        _SEQUENCES.issuperset(map(type, trace))
+        and _NUMBERS.issuperset(map(type, chain.from_iterable(trace)))
+        or all(map(_is_vector, trace))
+    )
+
+
 class Pool:
     """Immutable, validated prompt pool stored as columns.
 
     Safe for concurrent reads; all mutation happens before construction
-    finishes. Build one via :func:`load_pool` or directly from records.
-    ``confidence`` is NaN where absent. Token traces are a two-level CSR:
+    finishes. Build one via :func:`load_pool` or from PromptRecords, which
+    pass the same checks. ``confidence`` is NaN where absent. Token traces are a two-level CSR:
     record ``i`` owns positions ``position_offsets[i]:position_offsets[i + 1]``
     and position ``j`` owns ``probs[candidate_offsets[j]:candidate_offsets[j + 1]]``.
     """
 
     def __init__(self, records):
-        self._adopt(
-            (r.id, r.task, r.confidence, r.token_probs,
-             r.embedding if r.embedding is None or np.ndim(r.embedding) == 1 else ())
-            for r in records
-        )
+        self._adopt((f"record {i}", vars(r)) for i, r in enumerate(records))
 
     def _adopt(self, records, sidecar=None) -> None:
-        """Validate (id, task, confidence, token_probs, embedding) tuples, with
-        embeddings read from a ``sidecar`` file if given, and store them as
-        columns. Each check names the first record that fails it."""
+        """Validate (where, fields) pairs and store them as columns, with
+        embeddings read from a ``sidecar`` file if given. ``fields`` is a dict
+        keyed like PromptRecord; a malformed one raises ParseError naming
+        ``where``, and each later check names the first failing record's id."""
         widths, flat = array("q"), array("d")  # no Python object per entry
 
-        def flatten():  # moves each trace onto the flat arrays as the records stream in
-            for rec_id, task, confidence, trace, embedding in records:
+        def flatten():  # checks each record and moves its trace onto the flat arrays
+            for where, obj in records:
+                if not isinstance(obj, dict):
+                    raise ParseError(f"{where}: record is not an object")
+                rec_id, task, confidence, trace, embedding = map(obj.get, _FIELDS)
+                if not isinstance(rec_id, str) or not rec_id:
+                    raise ParseError(f"{where}: missing or invalid 'id'")
+                if not isinstance(task, str) or not task:
+                    raise ParseError(f"{where}: missing or invalid 'task'")
+                for name, text in (("id", rec_id), ("task", task)):
+                    if not text.isascii() and _SURROGATE.search(text):
+                        raise ParseError(f"{where}: {name!r} holds a lone surrogate, which is not valid Unicode")
+                if embedding is not None and not _is_vector(embedding):
+                    raise ParseError(f"{where}: 'embedding' must be an array of numbers")
+                if confidence is not None and (type(confidence) is bool or not isinstance(confidence, _REALS)):
+                    raise ParseError(f"{where}: 'confidence' must be a number")
                 if trace is not None:
+                    if not _is_trace(trace):
+                        raise ParseError(f"{where}: 'token_probs' must be an array of arrays of numbers")
                     widths.extend(map(len, trace))
                     flat.extend(chain.from_iterable(trace))
                 yield rec_id, task, confidence, -1 if trace is None else len(trace), embedding
@@ -271,37 +303,6 @@ def _json_lines(path):
             raise _not_utf8(path, exc) from exc
 
 
-def _parse_record(obj, path, line_no):
-    """(id, task, confidence, token_probs, embedding) of one pool line."""
-
-    def fail(msg):
-        raise ParseError(f"{path}:{line_no}: {msg}")
-
-    if not isinstance(obj, dict):
-        fail("record is not an object")
-    rec_id, task, confidence, token_probs, embedding = map(obj.get, _FIELDS)
-    if not isinstance(rec_id, str) or not rec_id:
-        fail("missing or invalid 'id'")
-    if not isinstance(task, str) or not task:
-        fail("missing or invalid 'task'")
-    for name, text in (("id", rec_id), ("task", task)):
-        if not text.isascii() and _SURROGATE.search(text):
-            fail(f"'{name}' holds a lone surrogate, which is not valid Unicode")
-    if embedding is not None and (
-        type(embedding) is not list or not _NUMBERS.issuperset(map(type, embedding))
-    ):
-        fail("'embedding' must be an array of numbers")
-    if confidence is not None and type(confidence) not in _NUMBERS:
-        fail("'confidence' must be a number")
-    if token_probs is not None and (
-        type(token_probs) is not list
-        or not {list}.issuperset(map(type, token_probs))
-        or not _NUMBERS.issuperset(map(type, chain.from_iterable(token_probs)))
-    ):
-        fail("'token_probs' must be an array of arrays of numbers")
-    return rec_id, task, confidence, token_probs, embedding
-
-
 def load_pool(pool_path, embeddings_path=None) -> Pool:
     """Load and validate a pool file, optionally attaching sidecar embeddings.
 
@@ -310,8 +311,7 @@ def load_pool(pool_path, embeddings_path=None) -> Pool:
     """
     pool = Pool.__new__(Pool)
     pool._adopt(
-        (_parse_record(obj, pool_path, line_no) for line_no, obj in _json_lines(pool_path)),
-        embeddings_path,
+        ((f"{pool_path}:{line_no}", obj) for line_no, obj in _json_lines(pool_path)), embeddings_path
     )
     return pool
 

@@ -2,8 +2,7 @@
 
 All scores are pure functions of the token-probability trace (or of a
 precomputed confidence). ``score_pool`` computes them for a whole pool
-with segment reductions over its trace columns; the scalar functions
-below score one trace and serve as the reference.
+with segment reductions over its trace columns.
 """
 
 import json
@@ -12,72 +11,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import (
-    DegenerateProbability,
-    EmptySequence,
-    InsufficientCandidates,
-    MissingConfidence,
-    ParseError,
-    ValidationError,
-)
+from .errors import DegenerateProbability, MissingConfidence, ParseError, ValidationError
 from .pool import Pool, _json_lines
 
 # Task means are floored before they are ever inverted downstream.
 CONFIDENCE_FLOOR = 1e-12
-
-
-def log_confidence(token_probs) -> float:
-    """Sum of log realized-token probabilities (the top entry per position).
-
-    Kept in log space because the raw product underflows for long
-    sequences.
-    """
-    total = 0.0
-    count = 0
-    for j, pos in enumerate(token_probs):
-        if len(pos) == 0:
-            raise ValidationError(f"position {j} has no probability entries")
-        p = pos[0]
-        if p <= 0.0:
-            raise DegenerateProbability(f"realized-token probability {p!r} at position {j}")
-        total += math.log(p)
-        count += 1
-    if count == 0:
-        raise EmptySequence("token_probs has no positions")
-    return total
-
-
-def confidence(token_probs) -> float:
-    """Product of realized-token probabilities, in (0, 1]."""
-    return math.exp(log_confidence(token_probs))
-
-
-def mean_entropy(token_probs) -> float:
-    """Mean per-position Shannon entropy (natural log, 0*log 0 = 0)."""
-    total = 0.0
-    count = 0
-    for pos in token_probs:
-        h = 0.0
-        for p in pos:
-            if p > 0.0:
-                h -= p * math.log(p)
-        total += h
-        count += 1
-    if count == 0:
-        raise EmptySequence("token_probs has no positions")
-    return total / count
-
-
-def margins(token_probs) -> tuple[float, float]:
-    """(mean, min) of the per-position top-two probability gaps."""
-    gaps = []
-    for j, pos in enumerate(token_probs):
-        if len(pos) < 2:
-            raise InsufficientCandidates(f"position {j} has fewer than 2 entries")
-        gaps.append(pos[0] - pos[1])
-    if not gaps:
-        raise EmptySequence("token_probs has no positions")
-    return sum(gaps) / len(gaps), min(gaps)
 
 
 @dataclass(frozen=True)
@@ -129,7 +67,7 @@ def score_pool(pool: Pool) -> Scores:
         raise DegenerateProbability(
             f"record {pool.ids()[i]!r}: realized-token probability 0 at position {j}")
     log_conf = trace_log.copy()
-    # math.log per given confidence, so these match the scalar path bit for bit
+    # math.log, so each equals math.log(confidence) bit for bit; np.log need not
     log_conf[given] = np.fromiter(map(math.log, pool.confidence[given].tolist()), np.float64)
     conf = np.where(given, pool.confidence, np.exp(trace_log))
     return Scores(conf, log_conf, entropy, mean_m, min_m)

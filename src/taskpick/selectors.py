@@ -18,12 +18,13 @@ import numpy as np
 
 from .allocation import (
     AllocationVector,
+    _check_budget,
     allocate_active_it,
     allocate_task_diversity,
     allocate_weighted,
     ceil_allocation,
 )
-from .errors import ConfigError, InvalidBudget, InvalidKernel, MissingScore, ValidationError
+from .errors import ConfigError, InvalidKernel, MissingScore, ValidationError
 from .pool import Pool, TaskPartition
 from .scoring import Scores, score_pool, task_mean_confidence
 
@@ -62,8 +63,9 @@ class KernelSpec:
 
     ``euclidean`` means raw geometry: true distance for k-center,
     negative squared distance for facility location, and the plain
-    inner-product Gram matrix for DPP. ``rbf`` is exp(-gamma * ||a-b||^2)
-    and ``cosine`` is the (possibly negative) cosine similarity.
+    inner-product Gram matrix for DPP. ``rbf`` is exp(-gamma * ||a-b||^2),
+    with gamma 0.1 unless given, and ``cosine`` is the (possibly negative)
+    cosine similarity.
     """
 
     kind: str
@@ -72,9 +74,11 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("euclidean", "rbf", "cosine"):
             raise InvalidKernel(f"unknown kernel kind {self.kind!r}")
+        if self.kind == "rbf" and self.gamma is None:
+            object.__setattr__(self, "gamma", 0.1)
         if self.gamma is not None and not math.isfinite(self.gamma):
             raise InvalidKernel(f"gamma must be finite, got {self.gamma!r}")
-        if self.kind == "rbf" and not (self.gamma is not None and self.gamma > 0):
+        if self.kind == "rbf" and not self.gamma > 0:
             raise InvalidKernel(f"rbf kernel needs gamma > 0, got {self.gamma!r}")
 
 
@@ -91,11 +95,6 @@ class SelectionResult:
     warnings: list[str] = field(default_factory=list)
     allocation: list[dict] | None = None
     stats: dict | None = None
-
-
-def _check_budget(budget: int) -> None:
-    if budget < 1:
-        raise InvalidBudget(f"budget must be >= 1, got {budget}")
 
 
 def _check_seed(seed: int) -> None:
@@ -600,11 +599,8 @@ class StrategyConfig:
     jitter: float = 1e-6
 
 
-_DEFAULT_KERNELS = {
-    "k_center": KernelSpec("euclidean"),
-    "facility_location": KernelSpec("rbf", 0.1),
-    "dpp": KernelSpec("euclidean"),
-}
+# Each geometric strategy's kernel kind when none is given.
+_DEFAULT_KERNELS = {"k_center": "euclidean", "facility_location": "rbf", "dpp": "euclidean"}
 
 
 def _allocation_table(partition, allocation, result, task_conf=None) -> list[dict]:
@@ -656,7 +652,7 @@ def run_strategy(pool: Pool, config: StrategyConfig, scores=None) -> SelectionRe
         result = round_robin(alloc, part, config.budget, config.seed)
         result.allocation = _allocation_table(part, alloc, result, task_conf)
     else:
-        kernel = config.kernel if config.kernel is not None else _DEFAULT_KERNELS[name]
+        kernel = config.kernel if config.kernel is not None else KernelSpec(_DEFAULT_KERNELS[name])
         embeddings = pool.embedding_matrix()
         if name == "k_center":
             result = select_k_center(embeddings, config.budget, kernel)

@@ -1,9 +1,10 @@
 """The desk-scale synthetic pool: 90K records over 1,691 tasks, d=64.
 
 Acceptance criterion 7 runs on it at seed 707, and the pinned selections on
-its 6K prefixes. ``perfbench/gen.py`` restates it for the benchmark, which
-does not import test code. At seed 707 both give byte-identical pool and
-sidecar files, whose digests ``perfbench/test_perfbench.py`` pins.
+its 6K prefixes and on a 3K prefix with token traces. ``perfbench/gen.py``
+restates both for the benchmark, which does not import test code. At seed
+707 both give byte-identical pool and sidecar files, whose digests
+``perfbench/test_perfbench.py`` pins.
 """
 
 import numpy as np
@@ -32,3 +33,23 @@ def desk_arrays(seed: int):
     radii = np.exp(rng.normal(0.0, 0.5, size=DESK_TASKS))
     emb = centers[assign] + radii[assign][:, None] * rng.standard_normal((DESK_N, DESK_DIM))
     return labels, assign, conf, emb.astype(np.float32)
+
+
+TRACE_POSITIONS, TRACE_CANDIDATES = 40, 5
+
+
+def desk_token_probs(seed: int, task_index: np.ndarray) -> np.ndarray:
+    """Per-record token traces of shape (rows, TRACE_POSITIONS, TRACE_CANDIDATES).
+
+    Each position holds the top candidates of a Dirichlet draw whose
+    realized-token concentration depends on the task, sorted non-increasing,
+    rounded to six decimals and floored at 1e-6.
+    """
+    rng = np.random.default_rng([seed, 1])
+    easiness = rng.uniform(2.0, 12.0, size=DESK_TASKS)
+    alpha = np.ones((task_index.shape[0], TRACE_POSITIONS, TRACE_CANDIDATES + 1))
+    alpha[..., 0] = easiness[task_index][:, None]
+    draws = rng.standard_gamma(alpha)
+    draws /= draws.sum(axis=-1, keepdims=True)
+    draws = -np.sort(-draws, axis=-1)[..., :TRACE_CANDIDATES]
+    return np.maximum(np.round(draws, 6), 1e-6)

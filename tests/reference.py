@@ -1,17 +1,52 @@
 """Independent reference computations for the tests.
 
 Everything here is built from scipy/numpy primitives along different
-code paths than the production package (pairwise distances via cdist,
-log-dets via slogdet, the weighted allocation via bisection on the
-division form, water filling, active_it and round robin as explicit
-loops), so agreement with the package is meaningful.
+code paths than the production package (per-trace scores as scalar loops
+over one trace, pairwise distances via cdist, log-dets via slogdet, the
+weighted allocation via bisection on the division form, water filling,
+active_it and round robin as explicit loops), so agreement with the
+package is meaningful.
 """
+
+import math
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from taskpick.allocation import ceil_allocation
 from taskpick.selectors import _stream
+
+
+def log_confidence(token_probs) -> float:
+    """Sum of the log realized-token probabilities (each position's first entry)."""
+    if not token_probs:
+        raise ValueError("token_probs has no positions")
+    total = 0.0
+    for j, pos in enumerate(token_probs):
+        if pos[0] <= 0.0:
+            raise ValueError(f"realized-token probability {pos[0]!r} at position {j}")
+        total += math.log(pos[0])
+    return total
+
+
+def mean_entropy(token_probs) -> float:
+    """Mean per-position Shannon entropy (natural log, 0 log 0 = 0)."""
+    if not token_probs:
+        raise ValueError("token_probs has no positions")
+    total = 0.0
+    for pos in token_probs:
+        total -= sum(p * math.log(p) for p in pos if p > 0.0)
+    return total / len(token_probs)
+
+
+def margins(token_probs) -> tuple[float, float]:
+    """(mean, min) of the per-position gaps between the top two entries."""
+    if not token_probs:
+        raise ValueError("token_probs has no positions")
+    if any(len(pos) < 2 for pos in token_probs):
+        raise ValueError("a position has fewer than 2 entries")
+    gaps = [pos[0] - pos[1] for pos in token_probs]
+    return sum(gaps) / len(gaps), min(gaps)
 
 
 def fl_kernel(points, kind, gamma=None):

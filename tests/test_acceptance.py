@@ -31,7 +31,7 @@ from taskpick.allocation import (
     ceil_allocation,
 )
 from taskpick.pool import load_pool, read_embeddings, write_embeddings
-from taskpick.scoring import TaskConfidence, confidence, margins, mean_entropy, task_mean_confidence
+from taskpick.scoring import TaskConfidence, score_pool, task_mean_confidence
 from taskpick.selectors import (
     KernelSpec,
     StrategyConfig,
@@ -191,20 +191,28 @@ def test_criterion_5_kcenter_approximation_bound():
 def test_criterion_6_scoring_numerics():
     started = time.perf_counter()
     rng = np.random.default_rng(606)
+    # each position is padded with a 0.0 runner-up, which changes neither
+    # the product of first entries nor the entropy
+    traces = []
     for _ in range(300):
         length = int(rng.integers(1, 21))
-        probs = tuple((float(p),) for p in rng.uniform(0.01, 1.0, size=length))
+        traces.append(tuple((float(p), 0.0) for p in rng.uniform(0.01, 1.0, size=length)))
+    conf = score_pool(make_pool({"t": len(traces)}, token_probs=traces)).confidence
+    for probs, value in zip(traces, conf):
         direct = float(np.prod([p[0] for p in probs]))
-        assert confidence(probs) == pytest.approx(direct, rel=1e-9)
+        assert value == pytest.approx(direct, rel=1e-9)
 
     # unit examples reproduce exactly
-    assert mean_entropy(((1.0,), (1.0,))) == 0.0
-    assert mean_entropy(((0.5, 0.5),)) == pytest.approx(math.log(2), rel=1e-12)
-    assert mean_entropy(((0.5, 0.5), (1.0,))) == pytest.approx(math.log(2) / 2, rel=1e-12)
-    assert margins(((0.9, 0.1), (0.9, 0.1))) == pytest.approx((0.8, 0.8), rel=1e-12)
-    mean_m, min_m = margins(((0.6, 0.4), (0.9, 0.1)))
-    assert mean_m == pytest.approx(0.5, rel=1e-12) and min_m == pytest.approx(0.2, rel=1e-12)
-    assert margins(((0.5, 0.5),)) == (0.0, 0.0)
+    units = [((1.0, 0.0), (1.0, 0.0)), ((0.5, 0.5),), ((0.5, 0.5), (1.0, 0.0)),
+             ((0.9, 0.1), (0.9, 0.1)), ((0.6, 0.4), (0.9, 0.1))]
+    scores = score_pool(make_pool({"t": len(units)}, token_probs=units))
+    entropy, mean_m, min_m = scores.mean_entropy, scores.mean_margin, scores.min_margin
+    assert entropy[0] == 0.0
+    assert entropy[1] == pytest.approx(math.log(2), rel=1e-12)
+    assert entropy[2] == pytest.approx(math.log(2) / 2, rel=1e-12)
+    assert (mean_m[3], min_m[3]) == pytest.approx((0.8, 0.8), rel=1e-12)
+    assert mean_m[4] == pytest.approx(0.5, rel=1e-12) and min_m[4] == pytest.approx(0.2, rel=1e-12)
+    assert (mean_m[1], min_m[1]) == (0.0, 0.0)
 
     # scale invariance of the weighted allocation under conf -> 7.3 * conf
     counts = [40, 25, 60, 9, 140]

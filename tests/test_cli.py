@@ -246,6 +246,25 @@ class TestSelect:
         assert manifest["params"]["gamma"] == 0.002
         assert len(manifest["objective_trace"]) == 5
 
+    @pytest.mark.parametrize(
+        "strategy, flags, params",
+        [
+            ("facility_location", ("--gamma", "0.002"), {"kernel": "rbf", "gamma": 0.002}),
+            ("facility_location", (), {"kernel": "rbf", "gamma": 0.1}),
+            ("dpp", ("--kernel", "rbf"), {"kernel": "rbf", "gamma": 0.1}),
+            ("dpp", ("--gamma", "0.002"), {"kernel": "euclidean", "gamma": None}),
+        ],
+    )
+    def test_gamma_applies_to_the_default_rbf_kernel(self, tmp_path, strategy, flags, params):
+        rows = [{"id": f"x{i}", "task": "t", "embedding": [float(i), 1.0]} for i in range(4)]
+        pool = write_pool(tmp_path / "p.jsonl", rows)
+        out = tmp_path / "m.json"
+        code = main(["select", "--pool", pool, "--strategy", strategy, "--budget", "1",
+                     "--output", str(out), *flags])
+        assert code == 0
+        manifest = json.loads(out.read_text())
+        assert {k: manifest["params"].get(k) for k in params} == params
+
     def test_missing_pool_file_fails_without_output(self, tmp_path):
         out = tmp_path / "m.json"
         code = main(

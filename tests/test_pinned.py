@@ -1,10 +1,12 @@
-"""Pinned selections of the greedy selectors on 6K prefixes of the desk pool.
+"""Pinned selections on prefixes of the desk pool.
 
-Each case pins a digest of the selected indices, FL's work counters, and
-the final objective value. A change that alters a pick on purpose updates
-this table and says why in CHANGES.md; any other change must leave it as
-it is. The embeddings are the float32 rows the sidecar holds, widened to
-float64 as ``Pool.embedding_matrix`` widens them.
+The greedy selectors run on 6K prefixes; each case pins a digest of the
+selected indices, FL's work counters, and the final objective value. The
+scoring strategies run on the 3K token-trace pool; each case pins a digest
+of the selected ids and one of the per-task counts. A change that alters a
+pick on purpose updates these tables and says why in CHANGES.md; any other
+change must leave them as they are. The embeddings are the float32 rows the
+sidecar holds, widened to float64 as ``Pool.embedding_matrix`` widens them.
 """
 
 import hashlib
@@ -12,8 +14,16 @@ import hashlib
 import numpy as np
 import pytest
 
-from desk import desk_arrays
-from taskpick.selectors import KernelSpec, select_dpp, select_facility_location, select_k_center
+from desk import desk_arrays, desk_token_probs
+from taskpick.pool import Pool, PromptRecord
+from taskpick.selectors import (
+    KernelSpec,
+    StrategyConfig,
+    run_strategy,
+    select_dpp,
+    select_facility_location,
+    select_k_center,
+)
 
 ROWS = 6_000
 RBF = KernelSpec("rbf", 0.002)
@@ -58,9 +68,43 @@ PINNED = {
         select_dpp, 801, KernelSpec("cosine"), 1_000, "128b62bbdbe247b0", None,
         -12755.938832026588,
     ),
+    "dpp-euclidean-802": (
+        select_dpp, 802, KernelSpec("euclidean"), 1_000, "4df6f9ab47ec99f9", None,
+        -12211.893762974765,
+    ),
+    "dpp-cosine-802": (
+        select_dpp, 802, KernelSpec("cosine"), 1_000, "6b366ff79c1acc50", None,
+        -12755.973412412848,
+    ),
+    "dpp-euclidean-803": (
+        select_dpp, 803, KernelSpec("euclidean"), 1_000, "99ab4463fc000502", None,
+        -12212.395598839183,
+    ),
+    "dpp-cosine-803": (
+        select_dpp, 803, KernelSpec("cosine"), 1_000, "e39f324928f655f5", None,
+        -12755.975717793228,
+    ),
     "k-center-801": (
         select_k_center, 801, None, 2_000, "77839b8e547567ed", None, 24.04958949202492,
     ),
+    "k-center-802": (
+        select_k_center, 802, None, 2_000, "a27c213d82f41770", None, 21.132099657988412,
+    ),
+    "k-center-803": (
+        select_k_center, 803, None, 2_000, "4909c3fac53f6d29", None, 19.95603029620634,
+    ),
+}
+
+TOKEN_ROWS, TOKEN_SEED, TOKEN_BUDGET = 3_000, 801, 2_800
+
+# strategy: (selected ids digest, per-task counts digest) on the token-trace pool
+PINNED_TOKEN = {
+    "least_confidence": ("49ca31f1abed0205", "c0e7eaefeee9be67"),
+    "mean_entropy": ("a9c432938904033a", "724a75e683d0c290"),
+    "mean_margin": ("b237b586130d43af", "866f23cc98589975"),
+    "min_margin": ("824a54213123dfc6", "8fa405ec0056b54e"),
+    "weighted_task_diversity": ("5a1521458894784f", "d6257c384879b3f1"),
+    "active_it": ("af19ce166c481ea7", "8bffff4a68b74fc8"),
 }
 
 
@@ -76,8 +120,19 @@ def prefixes():
     return prefix
 
 
-def digest(selected) -> str:
-    return hashlib.sha256(",".join(map(str, selected)).encode()).hexdigest()[:16]
+@pytest.fixture(scope="module")
+def token_pool():
+    """The first TOKEN_ROWS desk ids and tasks, each with a 40 x 5 token trace."""
+    labels, assign, _, _ = desk_arrays(TOKEN_SEED)
+    probs = desk_token_probs(TOKEN_SEED, assign[:TOKEN_ROWS])
+    return Pool(
+        PromptRecord(id=f"p{i:06d}", task=labels[assign[i]], token_probs=probs[i].tolist())
+        for i in range(TOKEN_ROWS)
+    )
+
+
+def digest(items) -> str:
+    return hashlib.sha256(",".join(map(str, items)).encode()).hexdigest()[:16]
 
 
 @pytest.mark.parametrize("name", PINNED)
@@ -88,3 +143,12 @@ def test_selection_is_pinned(name, prefixes):
     assert digest(result.selected) == expected
     assert result.stats == stats
     assert result.objective_trace[-1] == pytest.approx(objective, rel=1e-12)
+
+
+@pytest.mark.parametrize("strategy", PINNED_TOKEN)
+def test_token_pool_selection_is_pinned(strategy, token_pool):
+    result = run_strategy(token_pool, StrategyConfig(strategy, budget=TOKEN_BUDGET))
+    ids = token_pool.ids()
+    part = token_pool.partition
+    counts = np.bincount(part.codes[result.selected], minlength=len(part.tasks))
+    assert (digest(ids[i] for i in result.selected), digest(counts.tolist())) == PINNED_TOKEN[strategy]

@@ -8,6 +8,7 @@ from taskpick.errors import (
     MissingEmbedding,
     ParseError,
     ShapeError,
+    TaskpickError,
     ValidationError,
 )
 from taskpick.pool import (
@@ -378,3 +379,61 @@ def test_sidecar_header_checked_before_rows_are_read(tmp_path, monkeypatch):
     monkeypatch.setattr(np, "fromfile", no_read)
     with pytest.raises(ShapeError, match="expected"):
         read_embeddings(path)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"id": 5}, "missing or invalid 'id'"),
+        ({"id": ""}, "missing or invalid 'id'"),
+        ({"task": 7}, "missing or invalid 'task'"),
+        ({"task": "\ud800"}, "'task' holds a lone surrogate, which is not valid Unicode"),
+        ({"confidence": "0.5"}, "'confidence' must be a number"),
+        ({"confidence": True}, "'confidence' must be a number"),
+        ({"token_probs": (("x", 0.1),)}, "'token_probs' must be an array of arrays of numbers"),
+        ({"token_probs": ((True, False),)}, "'token_probs' must be an array of arrays of numbers"),
+        ({"embedding": np.array(["1", "2"])}, "'embedding' must be an array of numbers"),
+    ],
+)
+def test_library_and_file_pools_reject_the_same_records(tmp_path, fields, message):
+    record = {"id": "a", "task": "t", **fields}
+    valid = {"id": "b", "task": "t", "confidence": 0.5}
+    with pytest.raises(TaskpickError) as library:
+        Pool([PromptRecord(**record), PromptRecord(**valid)])
+    assert str(library.value) == f"record 0: {message}"
+
+    line = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in record.items()}
+    path = write_lines(tmp_path / "pool.jsonl", [line, valid])
+    with pytest.raises(TaskpickError) as file:
+        load_pool(path)
+    assert type(file.value) is type(library.value)
+    assert str(file.value) == f"{path}:1: {message}"
+
+
+def _numpy_records():
+    """Valid library records built from numpy values: float32 embedding rows
+    (as a sidecar hands them back), numpy scalar confidences, ndarray and
+    tuple positions."""
+    rows = np.array([[0.25, -1.5], [1.0, 2.0], [3.0, 4.0]], dtype=np.float32)
+    return [
+        PromptRecord(id="a", task="t1", embedding=rows[0], confidence=np.float32(0.3)),
+        PromptRecord(id="b", task="t0", embedding=rows[1], confidence=np.float64(0.37),
+                     token_probs=(np.array([0.9, 0.05]), (np.float32(0.8), 0.1))),
+        PromptRecord(id="c", task="t1", embedding=rows[2],
+                     token_probs=[[0.6, 0.4, 0.0], (1, 0)]),
+    ]
+
+
+@pytest.mark.parametrize("sidecar", [False, True])
+def test_saved_library_pool_reads_back_equal(tmp_path, sidecar):
+    pool = Pool(_numpy_records())
+    out, emb = tmp_path / "copy.jsonl", tmp_path / "copy.bin" if sidecar else None
+    save_pool(pool, out, embeddings_path=emb)
+    again = load_pool(str(out), None if emb is None else str(emb))
+    assert again.ids() == pool.ids()
+    assert again.partition.tasks == pool.partition.tasks
+    assert np.array_equal(again.partition.codes, pool.partition.codes)
+    for name in ("confidence", "position_offsets", "candidate_offsets", "probs"):
+        assert np.array_equal(getattr(again, name), getattr(pool, name), equal_nan=True)
+    assert np.array_equal(again.embedding_matrix(), pool.embedding_matrix())
+    assert pool.confidence[0] == float(np.float32(0.3))

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import make_pool
+from reference import log_confidence, margins, mean_entropy
 from taskpick.errors import (
     DegenerateProbability,
-    EmptySequence,
-    InsufficientCandidates,
     MissingConfidence,
     ParseError,
     ValidationError,
@@ -16,10 +15,6 @@ from taskpick.errors import (
 from taskpick.pool import Pool, PromptRecord
 from taskpick.scoring import (
     CONFIDENCE_FLOOR,
-    confidence,
-    log_confidence,
-    margins,
-    mean_entropy,
     read_scores,
     render_scores,
     score_pool,
@@ -27,12 +22,17 @@ from taskpick.scoring import (
 )
 
 
+def scored(*traces):
+    """score_pool over a pool holding one record per trace."""
+    return score_pool(make_pool({"t": len(traces)}, token_probs=traces))
+
+
 def test_confidence_identity_case():
-    assert confidence(((1.0,), (1.0,), (1.0,))) == 1.0
+    assert scored(((1.0, 0.0), (1.0, 0.0), (1.0, 0.0))).confidence[0] == 1.0
 
 
 def test_confidence_product():
-    assert confidence(((0.5,), (0.5,))) == pytest.approx(0.25, rel=1e-12)
+    assert scored(((0.5, 0.0), (0.5, 0.0))).confidence[0] == pytest.approx(0.25, rel=1e-12)
 
 
 def test_confidence_three_tokens():
@@ -40,65 +40,74 @@ def test_confidence_three_tokens():
     probs = ((0.9, 0.05), (0.8, 0.1), (0.7, 0.2))
     direct = 0.9 * 0.8 * 0.7
     assert direct == pytest.approx(0.504, rel=1e-12)
-    assert confidence(probs) == pytest.approx(0.504, rel=1e-9)
+    assert scored(probs).confidence[0] == pytest.approx(0.504, rel=1e-9)
 
 
 def test_confidence_zero_probability():
     with pytest.raises(DegenerateProbability):
-        confidence(((0.0, 0.0),))
+        scored(((0.0, 0.0),))
 
 
 def test_confidence_empty_sequence():
-    with pytest.raises(EmptySequence):
-        confidence(())
+    # an empty trace never reaches the scorer: the pool rejects it
+    with pytest.raises(ValidationError, match="token_probs has no positions"):
+        scored(())
 
 
 def test_entropy_deterministic_positions():
-    assert mean_entropy(((1.0,), (1.0,))) == 0.0
+    assert scored(((1.0, 0.0), (1.0, 0.0))).mean_entropy[0] == 0.0
 
 
 def test_entropy_uniform_pair():
-    assert mean_entropy(((0.5, 0.5),)) == pytest.approx(math.log(2), rel=1e-12)
+    assert scored(((0.5, 0.5),)).mean_entropy[0] == pytest.approx(math.log(2), rel=1e-12)
 
 
 def test_entropy_mixed_positions():
     # oracle: mean of ln 2 and 0
     expected = math.log(2) / 2
     assert expected == pytest.approx(0.34657359, rel=1e-7)
-    assert mean_entropy(((0.5, 0.5), (1.0,))) == pytest.approx(expected, rel=1e-12)
+    assert scored(((0.5, 0.5), (1.0, 0.0))).mean_entropy[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_entropy_empty_sequence():
-    with pytest.raises(EmptySequence):
-        mean_entropy(())
+    with pytest.raises(ValidationError, match="token_probs has no positions"):
+        scored(((0.5, 0.5),), ())
+
+
+def margins_of(scores, i=0):
+    return scores.mean_margin[i], scores.min_margin[i]
 
 
 def test_margins_constant():
-    assert margins(((0.9, 0.1), (0.9, 0.1))) == pytest.approx((0.8, 0.8))
+    assert margins_of(scored(((0.9, 0.1), (0.9, 0.1)))) == pytest.approx((0.8, 0.8))
 
 
 def test_margins_mixed():
     # oracle: mean((0.2, 0.8)) and min
-    mean_m, min_m = margins(((0.6, 0.4), (0.9, 0.1)))
+    mean_m, min_m = margins_of(scored(((0.6, 0.4), (0.9, 0.1))))
     assert mean_m == pytest.approx(0.5, rel=1e-12)
     assert min_m == pytest.approx(0.2, rel=1e-12)
 
 
 def test_margins_tie():
-    assert margins(((0.5, 0.5),)) == (0.0, 0.0)
+    assert margins_of(scored(((0.5, 0.5),))) == (0.0, 0.0)
 
 
 def test_margins_insufficient_candidates():
-    with pytest.raises(InsufficientCandidates):
-        margins(((0.9,),))
+    # a position without a runner-up never reaches the scorer: the pool rejects it
+    with pytest.raises(ValidationError, match="position 0 has fewer than 2 entries"):
+        scored(((0.9,),))
 
 
 def test_log_space_matches_direct_product(rng):
+    traces = []
     for _ in range(200):
         length = int(rng.integers(1, 21))
-        probs = tuple((float(p),) for p in rng.uniform(0.01, 1.0, size=length))
+        traces.append(tuple((float(p), 0.0) for p in rng.uniform(0.01, 1.0, size=length)))
+    conf = scored(*traces).confidence
+    for i, probs in enumerate(traces):
         direct = float(np.prod([p[0] for p in probs]))
-        assert confidence(probs) == pytest.approx(direct, rel=1e-9)
+        assert conf[i] == pytest.approx(direct, rel=1e-9)
 
 
 def test_permutation_invariance(rng):
@@ -107,17 +116,19 @@ def test_permutation_invariance(rng):
         for a, b in zip(rng.uniform(0.5, 1.0, size=12), rng.uniform(0.0, 0.5, size=12))
     ]
     shuffled = [probs[i] for i in rng.permutation(len(probs))]
-    assert confidence(tuple(probs)) == pytest.approx(confidence(tuple(shuffled)), rel=1e-12)
-    assert mean_entropy(tuple(probs)) == pytest.approx(mean_entropy(tuple(shuffled)), rel=1e-12)
-    assert margins(tuple(probs)) == pytest.approx(margins(tuple(shuffled)), rel=1e-12)
+    scores = scored(tuple(probs), tuple(shuffled))
+    assert scores.confidence[0] == pytest.approx(scores.confidence[1], rel=1e-12)
+    assert scores.mean_entropy[0] == pytest.approx(scores.mean_entropy[1], rel=1e-12)
+    assert margins_of(scores, 0) == pytest.approx(margins_of(scores, 1), rel=1e-12)
 
 
 def test_lowering_one_probability_lowers_confidence():
-    base = [(0.9,), (0.8,), (0.7,)]
+    base = [(0.9, 0.0), (0.8, 0.0), (0.7, 0.0)]
     for j in range(3):
         bumped = list(base)
-        bumped[j] = (base[j][0] - 0.05,)
-        assert confidence(tuple(bumped)) < confidence(tuple(base))
+        bumped[j] = (base[j][0] - 0.05, 0.0)
+        conf = scored(tuple(bumped), tuple(base)).confidence
+        assert conf[0] < conf[1]
 
 
 def test_precomputed_confidence_takes_precedence():
@@ -138,13 +149,14 @@ def test_score_pool_omits_absent_inputs():
 
 
 def test_min_margin_never_exceeds_mean_margin(rng):
+    traces = []
     for _ in range(50):
         length = int(rng.integers(1, 10))
         top = rng.uniform(0.5, 1.0, size=length)
         second = rng.uniform(0.0, 0.5, size=length)
-        probs = tuple((float(a), float(b)) for a, b in zip(top, second))
-        mean_m, min_m = margins(probs)
-        assert min_m <= mean_m + 1e-15
+        traces.append(tuple((float(a), float(b)) for a, b in zip(top, second)))
+    scores = scored(*traces)
+    assert np.all(scores.min_margin <= scores.mean_margin + 1e-15)
 
 
 def test_task_mean_confidence_simple():

@@ -17,7 +17,10 @@ from reference import (
     fl_lowest_near_max_pick,
     fl_objective,
     kcenter_lowest_near_max_pick,
+    log_confidence,
     loop_round_robin,
+    margins,
+    mean_entropy,
 )
 from taskpick import selectors
 from taskpick.allocation import (
@@ -36,7 +39,7 @@ from taskpick.errors import (
     MissingScore,
 )
 from taskpick.pool import Pool, PromptRecord
-from taskpick.scoring import log_confidence, margins, mean_entropy, score_pool, task_mean_confidence
+from taskpick.scoring import score_pool, task_mean_confidence
 from taskpick.selectors import (
     KernelSpec,
     StrategyConfig,
