@@ -52,8 +52,8 @@ def ceil_allocation(alpha) -> np.ndarray:
 
 
 def _check_budget(budget: int) -> None:
-    if budget < 1:
-        raise InvalidBudget(f"budget must be >= 1, got {budget}")
+    if not 1 <= budget < 2**63:
+        raise InvalidBudget(f"budget must be >= 1 and < 2**63, got {budget}")
 
 
 def _prologue(counts, budget: int, task_conf: TaskConfidence | None = None):
@@ -130,8 +130,8 @@ def allocate_weighted(counts, task_conf: TaskConfidence, budget: int, base: int 
     when even the base floors overshoot the budget, the allocation falls
     back to it, with a warning.
     """
-    if base < 0:
-        raise ConfigError(f"base allocation must be non-negative, got {base}")
+    if not 0 <= base < 2**63:
+        raise ConfigError(f"base allocation must be non-negative and < 2**63, got {base}")
     counts, target, warnings = _prologue(counts, budget, task_conf)
     lo = np.minimum(base, counts).astype(np.float64)
     if lo.sum() > target + 1e-9:

@@ -13,7 +13,7 @@ import sys
 import tempfile
 
 from .errors import ParseError, TaskpickError
-from .pool import _SURROGATE, _not_utf8, _parse_json, load_pool
+from .pool import _NUMBERS, _SURROGATE, _not_utf8, _parse_json, load_pool
 from .scoring import read_scores, render_scores, score_pool
 from .selectors import (
     _DEFAULT_KERNELS,
@@ -92,8 +92,9 @@ def cmd_select(args) -> int:
     return 0
 
 
-_NUMBER = (int, float)
-_ALLOCATION_ROW = {"task": str, "selected": int, "available": int, "alpha": _NUMBER, "alpha_ceil": int}
+# exact types, as the pool reader takes numbers: a JSON true is not a count
+_ALLOCATION_ROW = {"task": {str}, "selected": {int}, "available": {int}, "alpha": _NUMBERS,
+                   "alpha_ceil": {int}}
 # key: (type, value when absent or null); None marks a required key
 _MANIFEST = {"strategy": (str, None), "per_task": (dict, None), "selected_ids": (list, None),
              "params": (dict, {}), "allocation": (list, []), "objective_trace": (list, []),
@@ -121,12 +122,12 @@ def cmd_report(args) -> int:
             raise ParseError(f"{args.manifest}: manifest {key!r} is not a {kind.__name__}")
     strategy, per_task, selected, params, allocation, trace, warnings = fields
     for row in allocation:
-        if not isinstance(row, dict) or not isinstance(row.get("confidence", 0.0), _NUMBER) or any(
-            not isinstance(row.get(k), kind) for k, kind in _ALLOCATION_ROW.items()
+        if not isinstance(row, dict) or type(row.get("confidence", 0.0)) not in _NUMBERS or any(
+            type(row.get(k)) not in kinds for k, kinds in _ALLOCATION_ROW.items()
         ):
             raise ParseError(f"{args.manifest}: malformed allocation row {row!r}")
-    if not all(isinstance(v, int) for v in per_task.values()) or not all(
-        isinstance(v, _NUMBER) for v in trace
+    if any(type(v) is not int for v in per_task.values()) or not _NUMBERS.issuperset(
+        map(type, trace)
     ):
         raise ParseError(f"{args.manifest}: manifest counts or trace values are not numbers")
 

@@ -100,6 +100,18 @@ def _is_vector(values) -> bool:
     return isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iuf"
 
 
+def _too_large(digits: int) -> str:
+    return f"integer of {digits} digits does not fit a float"
+
+
+def _int_overflow(where: str, values) -> ParseError:
+    """The file reader's error for the first int in ``values`` beyond float64 range."""
+    from decimal import Decimal  # counts digits past str()'s 4300-digit limit; errors only
+
+    big = next(abs(v) for v in values if isinstance(v, int) and abs(v) > sys.float_info.max)
+    return ParseError(f"{where}: {_too_large(Decimal(big).adjusted() + 1)}")
+
+
 def _is_trace(trace) -> bool:
     """A list or tuple of vectors (see ``_is_vector``)."""
     return type(trace) in _SEQUENCES and (
@@ -141,15 +153,26 @@ class Pool:
                 for name, text in (("id", rec_id), ("task", task)):
                     if not text.isascii() and _SURROGATE.search(text):
                         raise ParseError(f"{where}: {name!r} holds a lone surrogate, which is not valid Unicode")
-                if embedding is not None and not _is_vector(embedding):
-                    raise ParseError(f"{where}: 'embedding' must be an array of numbers")
+                if embedding is not None:
+                    if not _is_vector(embedding):
+                        raise ParseError(f"{where}: 'embedding' must be an array of numbers")
+                    if type(embedding) in _SEQUENCES:
+                        try:
+                            embedding = array("d", embedding)
+                        except OverflowError:
+                            raise _int_overflow(where, embedding) from None
                 if confidence is not None and (type(confidence) is bool or not isinstance(confidence, _REALS)):
                     raise ParseError(f"{where}: 'confidence' must be a number")
+                if isinstance(confidence, int) and abs(confidence) > sys.float_info.max:
+                    raise _int_overflow(where, (confidence,))
                 if trace is not None:
                     if not _is_trace(trace):
                         raise ParseError(f"{where}: 'token_probs' must be an array of arrays of numbers")
                     widths.extend(map(len, trace))
-                    flat.extend(chain.from_iterable(trace))
+                    try:
+                        flat.extend(chain.from_iterable(trace))
+                    except OverflowError:
+                        raise _int_overflow(where, chain.from_iterable(trace)) from None
                 yield rec_id, task, confidence, -1 if trace is None else len(trace), embedding
 
         columns = list(zip(*flatten()))
@@ -271,7 +294,7 @@ def _json_int(text: str) -> int:
     Literals longer than the 309 digits of the largest float are rejected
     before ``int`` parses them."""
     if len(text) > 310 or abs(value := int(text)) > sys.float_info.max:
-        raise OverflowError(f"integer of {len(text.lstrip('-'))} digits does not fit a float")
+        raise OverflowError(_too_large(len(text.lstrip("-"))))
     return value
 
 

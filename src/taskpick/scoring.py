@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DegenerateProbability, MissingConfidence, ParseError, ValidationError
-from .pool import Pool, _json_lines
+from .pool import _NUMBERS, Pool, _json_lines
 
 # Task means are floored before they are ever inverted downstream.
 CONFIDENCE_FLOOR = 1e-12
@@ -35,7 +35,7 @@ class Scores:
 
 
 _SCORE_FIELDS = tuple(f.name for f in fields(Scores))
-_SCORE_TYPES = frozenset((int, float, type(None)))
+_SCORE_TYPES = _NUMBERS | {type(None)}
 
 
 def score_pool(pool: Pool) -> Scores:

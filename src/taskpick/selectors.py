@@ -124,7 +124,9 @@ def _tally(partition: TaskPartition, selected) -> dict[str, int]:
 def round_robin(allocation: AllocationVector, partition: TaskPartition, budget: int, seed: int) -> SelectionResult:
     """Materialize an allocation by cycling over tasks, one draw per pass.
 
-    Tasks are visited in ascending ceil(alpha) order (ties by label); a
+    The allocation is in the partition's task order: a labelled one must
+    carry exactly ``partition.tasks``, and a label-free one one entry per
+    task. Tasks are visited in ascending ceil(alpha) order (ties by label); a
     task is eligible while it is below both its rounded allocation and
     its pool size. Draws are uniform without replacement within a task.
     Stops when the budget is met or no task is eligible.
@@ -137,23 +139,17 @@ def round_robin(allocation: AllocationVector, partition: TaskPartition, budget: 
     _check_seed(seed)
 
     n_tasks = len(partition.tasks)
-    if allocation.tasks is not None:
-        if set(allocation.tasks) != set(partition.tasks):
-            raise ConfigError("allocation and partition cover different tasks")
-        by_label = dict(zip(allocation.tasks, allocation.alpha))
-        alpha = np.array([by_label[t] for t in partition.tasks])
-    elif len(allocation.alpha) != n_tasks:
+    if allocation.tasks is not None and tuple(allocation.tasks) != partition.tasks:
+        raise ConfigError("allocation tasks are not the partition's tasks in partition order")
+    if len(allocation.alpha) != n_tasks:
         raise ConfigError(f"allocation has {len(allocation.alpha)} entries for {n_tasks} tasks")
-    else:
-        alpha = np.asarray(allocation.alpha, dtype=np.float64)
 
-    caps = ceil_allocation(alpha)
+    caps = ceil_allocation(allocation.alpha)
     visit_rank = np.argsort(np.argsort(caps, kind="stable"))  # labels are already sorted
     draws = np.minimum(caps, partition.counts)
     task = np.repeat(np.arange(n_tasks), draws)
     rounds = np.arange(task.size) - np.repeat(np.cumsum(draws) - draws, draws)
     order = np.lexsort((visit_rank[task], rounds))[:budget]
-    taken = np.bincount(task[order], minlength=n_tasks)
     task, rounds = task[order].tolist(), rounds[order].tolist()
     queues = {t: _stream(seed, partition.tasks[t]).permutation(partition.members[t]) for t in set(task)}
     selected = [int(queues[t][r]) for t, r in zip(task, rounds)]
@@ -166,7 +162,7 @@ def round_robin(allocation: AllocationVector, partition: TaskPartition, budget: 
         strategy="round_robin",
         params={"budget": budget},
         seed=seed,
-        per_task=dict(zip(partition.tasks, taken.tolist())),
+        per_task=_tally(partition, selected),
         warnings=warnings,
     )
 
@@ -221,11 +217,13 @@ class _ColumnKernel:
 
     The full N x N kernel never exists in memory, which is what makes the
     greedy selectors usable on pools of ~100K examples. This is the one
-    place that forms squared norms, squared distances and the cosine
-    normalisation. ``entries`` counts the kernel values computed so far.
+    place that widens the points to float64 and forms squared norms,
+    squared distances and the cosine normalisation. ``entries`` counts the
+    kernel values computed so far.
     """
 
-    def __init__(self, embeddings: np.ndarray, spec: KernelSpec):
+    def __init__(self, embeddings, spec: KernelSpec):
+        embeddings = np.asarray(embeddings, dtype=np.float64)
         self.spec = spec
         self.n = embeddings.shape[0]
         self.points = embeddings
@@ -292,11 +290,12 @@ def select_k_center(embeddings, budget: int, kernel: KernelSpec | None = None) -
     farthest from its nearest chosen center. Both picks are the lowest
     index within _TIE_RTOL (relative) of the best, as in the other greedy
     selectors. The trace records the covering radius after each pick.
+    A pick's distance becomes -inf, so it can never be the farthest again.
     """
     if kernel is not None and kernel.kind != "euclidean":
         raise InvalidKernel("k-center supports the euclidean kernel only")
     _check_budget(budget)
-    kern = _ColumnKernel(np.asarray(embeddings, dtype=np.float64), KernelSpec("euclidean"))
+    kern = _ColumnKernel(embeddings, KernelSpec("euclidean"))
     points, sq_norms, n = kern.points, kern.sq_norms, kern.n
     k = min(budget, n)
 
@@ -306,20 +305,16 @@ def select_k_center(embeddings, budget: int, kernel: KernelSpec | None = None) -
     def dist_to(j: int) -> np.ndarray:
         return np.sqrt(-kern.column(j))
 
-    chosen = np.zeros(n, dtype=bool)
     selected = [first]
-    chosen[first] = True
     min_dist = dist_to(first)
-    min_dist[first] = 0.0
-    trace = [float(min_dist.max())]
+    min_dist[first] = -np.inf
+    trace = [max(float(min_dist.max()), 0.0)]
     while len(selected) < k:
-        candidates = np.where(chosen, -np.inf, min_dist)
-        nxt, _ = _lowest_near_max(candidates)
+        nxt, _ = _lowest_near_max(min_dist)
         selected.append(nxt)
-        chosen[nxt] = True
         np.minimum(min_dist, dist_to(nxt), out=min_dist)
-        min_dist[nxt] = 0.0
-        trace.append(float(min_dist.max()))
+        min_dist[nxt] = -np.inf
+        trace.append(max(float(min_dist.max()), 0.0))
 
     return SelectionResult(
         selected=selected,
@@ -328,6 +323,11 @@ def select_k_center(embeddings, budget: int, kernel: KernelSpec | None = None) -
         objective_trace=trace,
         warnings=_cap_note(budget, n, "number of points"),
     )
+
+
+def _kernel_params(kernel: KernelSpec) -> dict:
+    """A kernel as the manifest records it: its kind, and gamma for rbf only."""
+    return {"kernel": kernel.kind, **({"gamma": kernel.gamma} if kernel.kind == "rbf" else {})}
 
 
 def _lowest_near_max(values: np.ndarray) -> tuple[int, bool]:
@@ -373,10 +373,9 @@ def select_facility_location(embeddings, budget: int, kernel: KernelSpec) -> Sel
     evaluations, candidates demoted from the front, and near-tie picks.
     """
     _check_budget(budget)
-    points = np.asarray(embeddings, dtype=np.float64)
-    n = points.shape[0]
+    cols = _ColumnKernel(embeddings, kernel)
+    n = cols.n
     k = min(budget, n)
-    cols = _ColumnKernel(points, kernel)
 
     side = math.isqrt(_TILE_FLOATS)
     col_sums = np.zeros(n)
@@ -464,7 +463,7 @@ def select_facility_location(embeddings, budget: int, kernel: KernelSpec) -> Sel
     return SelectionResult(
         selected=selected,
         strategy="facility_location",
-        params={"budget": budget, "kernel": kernel.kind, "gamma": kernel.gamma},
+        params={"budget": budget, **_kernel_params(kernel)},
         objective_trace=trace,
         warnings=_cap_note(budget, n, "number of points"),
         stats={"kernel_entries": cols.entries, **stats},
@@ -506,7 +505,7 @@ def select_dpp(embeddings, budget: int, kernel: KernelSpec, jitter: float = 1e-6
     _check_budget(budget)
     if not (jitter > 0 and math.isfinite(jitter)):
         raise ConfigError(f"jitter must be positive and finite, got {jitter!r}")
-    kern = _ColumnKernel(np.asarray(embeddings, dtype=np.float64), kernel)
+    kern = _ColumnKernel(embeddings, kernel)
     points = kern.points
     n, d = points.shape
     k = min(budget, n)
@@ -580,7 +579,7 @@ def select_dpp(embeddings, budget: int, kernel: KernelSpec, jitter: float = 1e-6
     return SelectionResult(
         selected=selected,
         strategy="dpp",
-        params={"budget": budget, "kernel": kernel.kind, "gamma": kernel.gamma, "jitter": jitter},
+        params={"budget": budget, **_kernel_params(kernel), "jitter": jitter},
         objective_trace=trace,
         warnings=warnings,
     )
@@ -631,8 +630,8 @@ def run_strategy(pool: Pool, config: StrategyConfig, scores=None) -> SelectionRe
     name = config.strategy
     if name not in STRATEGIES:
         raise ConfigError(f"unknown strategy {name!r}")
+    _check_seed(config.seed)
     part = pool.partition
-    params: dict = {"budget": config.budget}
 
     if name == "random":
         result = select_random(pool, config.budget, config.seed)
@@ -646,11 +645,12 @@ def run_strategy(pool: Pool, config: StrategyConfig, scores=None) -> SelectionRe
             alloc = allocate_task_diversity(part.counts, config.budget, tasks=part.tasks)
         elif name == "weighted_task_diversity":
             alloc = allocate_weighted(part.counts, task_conf, config.budget, base=config.base)
-            params["base"] = config.base
         else:
             alloc = allocate_active_it(part.counts, task_conf, config.budget)
         result = round_robin(alloc, part, config.budget, config.seed)
         result.allocation = _allocation_table(part, alloc, result, task_conf)
+        if name == "weighted_task_diversity":
+            result.params["base"] = config.base
     else:
         kernel = config.kernel if config.kernel is not None else KernelSpec(_DEFAULT_KERNELS[name])
         embeddings = pool.embedding_matrix()
@@ -660,16 +660,10 @@ def run_strategy(pool: Pool, config: StrategyConfig, scores=None) -> SelectionRe
             result = select_facility_location(embeddings, config.budget, kernel)
         else:
             result = select_dpp(embeddings, config.budget, kernel, jitter=config.jitter)
-            params["jitter"] = config.jitter
-        params["kernel"] = kernel.kind
-        if kernel.kind == "rbf":
-            params["gamma"] = kernel.gamma
+        result.per_task = _tally(part, result.selected)
 
     result.strategy = name
     result.seed = config.seed
-    result.params = params
-    if result.per_task is None:
-        result.per_task = _tally(part, result.selected)
     return result
 
 

@@ -302,6 +302,26 @@ class TestSelect:
         assert code == 1 and not out.exists()
         assert len(err) == 1 and err[0].startswith("error:")
 
+    @pytest.mark.parametrize(
+        "flags",
+        [("--strategy", "weighted_task_diversity", "--base-allocation", str(10**23)),
+         ("--strategy", "random", "--budget", str(10**400)),
+         *(("--strategy", strategy, "--seed", str(10**400))
+           for strategy in ("k_center", "facility_location", "dpp"))],
+    )
+    def test_integers_a_manifest_cannot_hold_exit_with_one_error_line(
+        self, tmp_path, capsys, flags
+    ):
+        rows = [{"id": f"x{i}", "task": "t", "confidence": 0.5, "embedding": [float(i), 1.0]}
+                for i in range(4)]
+        pool = write_pool(tmp_path / "p.jsonl", rows)
+        out = tmp_path / "m.json"
+        options = {"--budget": "3", **dict(zip(flags[::2], flags[1::2]))}
+        code = main(["select", "--pool", pool, "--output", str(out), *sum(options.items(), ())])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 1 and not out.exists()
+        assert len(err) == 1 and err[0].startswith("error:")
+
     @pytest.mark.parametrize("field", ["confidence", "token_probs", "embedding", "log_confidence"])
     def test_huge_integer_exits_with_one_error_line(self, tmp_path, capsys, field):
         huge = "1" + "0" * 400
@@ -467,6 +487,12 @@ class TestReport:
             {"strategy": "x", "per_task": {"a": 1}, "selected_ids": ["a"], "objective_trace": [10**400]},
             {"strategy": "x", "per_task": {"\ud800": 1}, "selected_ids": ["a"]},
             {"strategy": "x", "per_task": {"a": 1}, "selected_ids": ["a"], "warnings": ["\udfff"]},
+            {"strategy": "x", "per_task": {"a": True}, "selected_ids": ["a"]},
+            {"strategy": "x", "per_task": {"a": 1}, "selected_ids": ["a"],
+             "allocation": [{"task": "a", "selected": True, "available": 1, "alpha": 1.0,
+                             "alpha_ceil": 1}]},
+            {"strategy": "x", "per_task": {"a": 1}, "selected_ids": ["a"],
+             "objective_trace": [1.0, True]},
         ],
     )
     def test_malformed_manifest_shapes_exit_with_one_error_line(self, tmp_path, capsys, manifest):

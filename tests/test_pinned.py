@@ -7,15 +7,19 @@ of the selected ids and one of the per-task counts. A change that alters a
 pick on purpose updates these tables and says why in CHANGES.md; any other
 change must leave them as they are. The embeddings are the float32 rows the
 sidecar holds, widened to float64 as ``Pool.embedding_matrix`` widens them.
+Each strategy's whole CLI manifest is pinned on both pools too, less its
+input paths and its objective trace.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from desk import desk_arrays, desk_token_probs
-from taskpick.pool import Pool, PromptRecord
+from taskpick.cli import main
+from taskpick.pool import Pool, PromptRecord, save_pool, write_embeddings
 from taskpick.selectors import (
     KernelSpec,
     StrategyConfig,
@@ -108,6 +112,40 @@ PINNED_TOKEN = {
 }
 
 
+# strategy: extra CLI arguments on the 6K desk prefix, which runs at budget
+# 1K and facility location with the benchmark's kernel
+DESK_MANIFEST_ARGS = {
+    "random": (),
+    "least_confidence": (),
+    "task_diversity": (),
+    "weighted_task_diversity": (),
+    "active_it": (),
+    "k_center": ("--budget", "2000"),
+    "facility_location": ("--kernel", "rbf", "--gamma", "0.002"),
+    "dpp": (),
+}
+
+# (pool, strategy): digest of the CLI manifest without inputs and objective_trace
+PINNED_MANIFESTS = {
+    ("token", "random"): "af9b49238568cc60",
+    ("token", "least_confidence"): "2f6647308f310204",
+    ("token", "mean_entropy"): "57f189abe8eae6af",
+    ("token", "mean_margin"): "ed7d24ddfbdc8e9f",
+    ("token", "min_margin"): "22163a48c3764a75",
+    ("token", "task_diversity"): "fce26bdc9f46677d",
+    ("token", "weighted_task_diversity"): "36eeeca433d20d08",
+    ("token", "active_it"): "f399d32718aa7187",
+    ("desk", "random"): "1cf191785b6f79b8",
+    ("desk", "least_confidence"): "ebeccf34849b3e72",
+    ("desk", "task_diversity"): "673eaf0a6bc0981e",
+    ("desk", "weighted_task_diversity"): "a62748132b30ed10",
+    ("desk", "active_it"): "19a3b28146407daa",
+    ("desk", "k_center"): "4a3cc2893e19cf89",
+    ("desk", "facility_location"): "2016a53a37de809f",
+    ("desk", "dpp"): "c7bf49db0c6ec698",
+}
+
+
 @pytest.fixture(scope="module")
 def prefixes():
     cache = {}
@@ -152,3 +190,35 @@ def test_token_pool_selection_is_pinned(strategy, token_pool):
     part = token_pool.partition
     counts = np.bincount(part.codes[result.selected], minlength=len(part.tasks))
     assert (digest(ids[i] for i in result.selected), digest(counts.tolist())) == PINNED_TOKEN[strategy]
+
+
+@pytest.fixture(scope="module")
+def cli_pools(tmp_path_factory, token_pool):
+    """CLI arguments for the token pool file and the 6K desk prefix with its sidecar."""
+    root = tmp_path_factory.mktemp("pinned")
+    save_pool(token_pool, root / "token.jsonl")
+    labels, assign, conf, emb = desk_arrays(TOKEN_SEED)  # the token pool's ids and tasks
+    with open(root / "desk.jsonl", "w", encoding="utf-8") as fh:
+        for i in range(ROWS):
+            record = {"id": f"p{i:06d}", "task": labels[assign[i]], "confidence": float(conf[i])}
+            fh.write(json.dumps(record) + "\n")
+    write_embeddings(root / "desk.bin", emb[:ROWS])
+    return root, {
+        "token": ("--pool", str(root / "token.jsonl"), "--budget", str(TOKEN_BUDGET)),
+        "desk": ("--pool", str(root / "desk.jsonl"), "--embeddings", str(root / "desk.bin"),
+                 "--budget", "1000"),
+    }
+
+
+@pytest.mark.parametrize("pool, strategy", PINNED_MANIFESTS)
+def test_cli_manifest_is_pinned(pool, strategy, cli_pools):
+    root, pool_args = cli_pools
+    out = root / f"{pool}-{strategy}.json"
+    extra = DESK_MANIFEST_ARGS[strategy] if pool == "desk" else ()
+    args = ["select", *pool_args[pool], "--strategy", strategy, *extra, "--output", str(out)]
+    assert main(args) == 0
+    manifest = json.loads(out.read_text())
+    del manifest["inputs"]
+    manifest.pop("objective_trace", None)
+    blob = json.dumps(manifest, sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest()[:16] == PINNED_MANIFESTS[pool, strategy]

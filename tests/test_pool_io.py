@@ -393,6 +393,9 @@ def test_sidecar_header_checked_before_rows_are_read(tmp_path, monkeypatch):
         ({"token_probs": (("x", 0.1),)}, "'token_probs' must be an array of arrays of numbers"),
         ({"token_probs": ((True, False),)}, "'token_probs' must be an array of arrays of numbers"),
         ({"embedding": np.array(["1", "2"])}, "'embedding' must be an array of numbers"),
+        ({"confidence": 10**400}, "integer of 401 digits does not fit a float"),
+        ({"token_probs": ((0.5, 10**400),)}, "integer of 401 digits does not fit a float"),
+        ({"embedding": [1.0, -(10**400)]}, "integer of 401 digits does not fit a float"),
     ],
 )
 def test_library_and_file_pools_reject_the_same_records(tmp_path, fields, message):

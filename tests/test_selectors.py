@@ -101,11 +101,17 @@ class TestRoundRobin:
         assert np.array_equal(pool_a.partition.members_of("keep"), pool_b.partition.members_of("keep"))
         ra = round_robin(alloc_of([4, 0], tasks=("keep", "other")), pool_a.partition, 4, seed=5)
         rb = round_robin(
-            alloc_of([4, 0, 0], tasks=("keep", "zzz", "yyy")), pool_b.partition, 4, seed=5
+            alloc_of([4, 0, 0], tasks=("keep", "yyy", "zzz")), pool_b.partition, 4, seed=5
         )
         keep_a = [i for i in ra.selected if i in set(pool_a.partition.members_of("keep"))]
         keep_b = [i for i in rb.selected if i in set(pool_b.partition.members_of("keep"))]
         assert keep_a == keep_b
+
+    @pytest.mark.parametrize("tasks", [("b", "a"), ("a", "c"), ("a",)])
+    def test_labelled_allocation_must_be_in_partition_order(self, tasks):
+        pool = make_pool({"a": 2, "b": 2})
+        with pytest.raises(ConfigError, match="partition order"):
+            round_robin(alloc_of([1.0] * len(tasks), tasks=tasks), pool.partition, 2, seed=0)
 
     def test_caps_and_fairness_randomized(self, rng):
         for _ in range(150):
@@ -642,6 +648,19 @@ class TestRunStrategy:
         result = run_strategy(pool, StrategyConfig("facility_location", budget=2, seed=0))
         assert result.params["kernel"] == "rbf"
         assert result.params["gamma"] == 0.1
+
+    @pytest.mark.parametrize(
+        "strategy, kind",
+        [("k_center", None),
+         *((strategy, kind) for strategy in ("facility_location", "dpp")
+           for kind in ("euclidean", "rbf", "cosine"))],
+    )
+    def test_direct_call_params_are_the_manifest_params(self, rng, strategy, kind):
+        pool = make_pool({"a": 4, "b": 4}, embeddings=rng.normal(size=(8, 3)))
+        kernel = None if kind is None else KernelSpec(kind)
+        result = run_strategy(pool, StrategyConfig(strategy, budget=3, kernel=kernel))
+        select = getattr(selectors, f"select_{strategy}")
+        assert select(pool.embedding_matrix(), 3, kernel).params == result.params
 
     def test_manifest_is_byte_stable(self, rng):
         emb = rng.normal(size=(10, 3))
