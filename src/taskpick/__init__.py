@@ -26,7 +26,6 @@ from .pool import (
 )
 from .scoring import (
     Scores,
-    TaskConfidence,
     score_pool,
     task_mean_confidence,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "Scores",
     "SelectionResult",
     "StrategyConfig",
-    "TaskConfidence",
     "TaskPartition",
     "TaskpickError",
     "allocate_active_it",

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InvalidBudget, NoTasks
-from .scoring import CONFIDENCE_FLOOR, TaskConfidence
+from .scoring import CONFIDENCE_FLOOR
 
 # Absorbs float noise in allocations that land exactly on integers.
 _CEIL_EPS = 1e-9
@@ -29,16 +29,14 @@ _CEIL_EPS = 1e-9
 
 @dataclass(frozen=True)
 class AllocationVector:
-    """Per-task real-valued budget split.
+    """Per-task real-valued budget split, in the partition's task order.
 
     The warnings say when the requested budget had to be capped at the
     pool size or the base floor could not be honored; ``feasible`` means
-    there are none. ``tasks`` is None for label-free instances, which
-    align positionally with a partition.
+    there are none.
     """
 
     alpha: np.ndarray
-    tasks: tuple[str, ...] | None = None
     warnings: tuple[str, ...] = ()
 
     @property
@@ -56,15 +54,18 @@ def _check_budget(budget: int) -> None:
         raise InvalidBudget(f"budget must be >= 1 and < 2**63, got {budget}")
 
 
-def _prologue(counts, budget: int, task_conf: TaskConfidence | None = None):
+def _prologue(counts, budget: int, task_conf=None):
     """Validated counts, the budget capped at the pool size, and the cap's warning."""
     counts = np.asarray(counts, dtype=np.int64)
     if counts.size == 0:
         raise NoTasks("allocation requested over an empty task list")
     if np.any(counts < 1):
         raise ConfigError("every task must have at least one available example")
-    if task_conf is not None and len(task_conf.tasks) != len(counts):
-        raise ConfigError("task confidences and counts cover different numbers of tasks")
+    if task_conf is not None:
+        if len(task_conf) != len(counts):
+            raise ConfigError("task confidences and counts cover different numbers of tasks")
+        if not np.all(np.isfinite(task_conf)):
+            raise ConfigError("a task confidence is not finite")
     _check_budget(budget)
     total = int(counts.sum())
     if budget > total:
@@ -72,11 +73,9 @@ def _prologue(counts, budget: int, task_conf: TaskConfidence | None = None):
     return counts, budget, []
 
 
-def _vector(alpha: np.ndarray, tasks, warnings) -> AllocationVector:
+def _vector(alpha: np.ndarray, warnings) -> AllocationVector:
     alpha.flags.writeable = False
-    return AllocationVector(
-        alpha=alpha, tasks=tuple(tasks) if tasks is not None else None, warnings=tuple(warnings)
-    )
+    return AllocationVector(alpha=alpha, warnings=tuple(warnings))
 
 
 def _level(weights: np.ndarray, lo: np.ndarray, hi: np.ndarray, target: int) -> np.ndarray:
@@ -113,15 +112,16 @@ def _water_level(counts: np.ndarray, target: int) -> np.ndarray:
     return _level(np.ones(len(counts)), np.zeros(len(counts)), counts.astype(np.float64), target)
 
 
-def allocate_task_diversity(counts, budget: int, tasks=None) -> AllocationVector:
+def allocate_task_diversity(counts, budget: int) -> AllocationVector:
     """Minimize the largest per-task allocation subject to full budget use
     and per-task availability. Water filling solves this exactly."""
     counts, target, warnings = _prologue(counts, budget)
-    return _vector(_water_level(counts, target), tasks, warnings)
+    return _vector(_water_level(counts, target), warnings)
 
 
-def allocate_weighted(counts, task_conf: TaskConfidence, budget: int, base: int = 5) -> AllocationVector:
-    """Clamped inverse-confidence allocation.
+def allocate_weighted(counts, task_conf, budget: int, base: int = 5) -> AllocationVector:
+    """Clamped inverse-confidence allocation; ``task_conf`` values at or
+    below 0 count as CONFIDENCE_FLOOR.
 
     Solves for the constant ``C`` with ``alpha_t = clamp(C / conf_t,
     min(base, counts_t), counts_t)`` summing to the budget, exactly, by
@@ -139,18 +139,19 @@ def allocate_weighted(counts, task_conf: TaskConfidence, budget: int, base: int 
             f"base allocation infeasible (task floors sum to {lo.sum():.0f} > budget"
             f" {target}); fell back to task-diversity water filling"
         )
-        return _vector(_water_level(counts, target), task_conf.tasks, warnings)
-    weights = 1.0 / np.maximum(np.asarray(task_conf.values, dtype=np.float64), CONFIDENCE_FLOOR)
+        return _vector(_water_level(counts, target), warnings)
+    weights = 1.0 / np.maximum(np.asarray(task_conf, dtype=np.float64), CONFIDENCE_FLOOR)
     alpha = _level(weights, lo, counts.astype(np.float64), target)
-    return _vector(alpha, task_conf.tasks, warnings)
+    return _vector(alpha, warnings)
 
 
-def allocate_active_it(counts, task_conf: TaskConfidence, budget: int) -> AllocationVector:
-    """Spend whole tasks in ascending mean-confidence order (ties by label);
-    the first task that no longer fits receives the leftover budget."""
+def allocate_active_it(counts, task_conf, budget: int) -> AllocationVector:
+    """Spend whole tasks in ascending mean-confidence order, ties by position
+    (for a partition, label order); the first task that no longer fits
+    receives the leftover budget."""
     counts, target, warnings = _prologue(counts, budget, task_conf)
-    order = np.lexsort((np.asarray(task_conf.tasks), np.asarray(task_conf.values, dtype=np.float64)))
+    order = np.argsort(np.asarray(task_conf, dtype=np.float64), kind="stable")
     before = np.cumsum(counts[order]) - counts[order]
     alpha = np.zeros(len(counts))
     alpha[order] = np.clip(target - before, 0, counts[order])
-    return _vector(alpha, task_conf.tasks, warnings)
+    return _vector(alpha, warnings)

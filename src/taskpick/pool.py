@@ -257,7 +257,8 @@ class Pool:
         return self._ids
 
     def embedding_matrix(self) -> np.ndarray:
-        """All embeddings as a read-only float64 matrix of shape (N, d).
+        """All embeddings as the stored read-only matrix of shape (N, d):
+        float32 from a sidecar, float64 from inline vectors.
 
         Raises MissingEmbedding if any record lacks one.
         """
@@ -265,9 +266,7 @@ class Pool:
         missing = [0] if emb is None else np.flatnonzero(np.isnan(emb[:, 0]))
         if len(missing):
             raise MissingEmbedding(f"record {self._ids[missing[0]]!r} has no embedding")
-        mat = emb.astype(np.float64, copy=False)
-        mat.flags.writeable = False
-        return mat
+        return emb
 
     def _fields(self):
         """Yield each record's (id, task, embedding, token_probs, confidence)."""
@@ -346,7 +345,7 @@ def save_pool(pool: Pool, pool_path, embeddings_path=None) -> None:
     are omitted from the JSON lines, otherwise they are stored inline.
     """
     if embeddings_path is not None:
-        write_embeddings(embeddings_path, pool.embedding_matrix().astype(np.float32))
+        write_embeddings(embeddings_path, pool.embedding_matrix())
     with open(pool_path, "w", encoding="utf-8") as fh:
         for rec_id, task, embedding, token_probs, confidence in pool._fields():
             obj = {"id": rec_id, "task": task}

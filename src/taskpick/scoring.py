@@ -73,16 +73,9 @@ def score_pool(pool: Pool) -> Scores:
     return Scores(conf, log_conf, entropy, mean_m, min_m)
 
 
-@dataclass(frozen=True)
-class TaskConfidence:
-    """Arithmetic mean confidence per task, aligned with a task list."""
-
-    tasks: tuple[str, ...]
-    values: np.ndarray
-
-
-def task_mean_confidence(pool: Pool, scores: Scores | None = None) -> TaskConfidence:
-    """Mean raw confidence per task, floored at CONFIDENCE_FLOOR.
+def task_mean_confidence(pool: Pool, scores: Scores | None = None) -> np.ndarray:
+    """Mean raw confidence per task, floored at CONFIDENCE_FLOOR, as a
+    read-only float64 array in the partition's task order.
 
     Confidences come from ``scores`` (such as a loaded cache) or, when it
     is None, from scoring the pool.
@@ -95,7 +88,7 @@ def task_mean_confidence(pool: Pool, scores: Scores | None = None) -> TaskConfid
     sums = np.array([conf[members].sum() for members in part.members])
     values = np.maximum(sums / part.counts, CONFIDENCE_FLOOR)
     values.flags.writeable = False
-    return TaskConfidence(tasks=part.tasks, values=values)
+    return values
 
 
 def render_scores(pool: Pool, scores: Scores) -> str:
@@ -109,11 +102,13 @@ def render_scores(pool: Pool, scores: Scores) -> str:
 
 
 def read_scores(path, pool: Pool) -> Scores:
-    """Load a scores cache and align it with the pool by id.
+    """Load a scores cache and check that it holds this pool's scores.
 
     Each pool id must appear once and no other id may. ``confidence`` and
     ``log_confidence`` come in pairs, and a confidence of 0.0 is accepted
-    only where ``exp(log_confidence)`` underflows to it.
+    only where ``exp(log_confidence)`` underflows to it. Then every value
+    must equal ``score_pool(pool)``'s bit for bit (NaN where absent), so a
+    cache written for another pool with the same ids is refused.
     """
     ids = pool.ids()
     index = {rec_id: i for i, rec_id in enumerate(ids)}
@@ -144,4 +139,9 @@ def read_scores(path, pool: Pool) -> Scores:
     check((~((conf > 0.0) & (conf <= 1.0)) & given[:, 0] & ~underflow) | (log_conf > 0.0),
           "cached confidence is outside (0, 1] and is not the underflow of its log_confidence",
           ValidationError)
-    return Scores(*table.T.copy())
+    scores = score_pool(pool)
+    fresh = np.column_stack([getattr(scores, name) for name in _SCORE_FIELDS])
+    same = (table.view(np.uint64) == fresh.view(np.uint64)) | (np.isnan(table) & np.isnan(fresh))
+    check(~same.all(axis=1), "cached scores differ from this pool's;"
+          " re-run `taskpick score` to rewrite the cache", ValidationError)
+    return scores

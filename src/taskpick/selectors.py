@@ -124,12 +124,12 @@ def _tally(partition: TaskPartition, selected) -> dict[str, int]:
 def round_robin(allocation: AllocationVector, partition: TaskPartition, budget: int, seed: int) -> SelectionResult:
     """Materialize an allocation by cycling over tasks, one draw per pass.
 
-    The allocation is in the partition's task order: a labelled one must
-    carry exactly ``partition.tasks``, and a label-free one one entry per
-    task. Tasks are visited in ascending ceil(alpha) order (ties by label); a
-    task is eligible while it is below both its rounded allocation and
-    its pool size. Draws are uniform without replacement within a task.
-    Stops when the budget is met or no task is eligible.
+    The allocation holds one entry per task, in the partition's task
+    order. Tasks are visited in ascending ceil(alpha) order (ties by
+    label, which is partition order); a task is eligible while it is
+    below both its rounded allocation and its pool size. Draws are
+    uniform without replacement within a task. Stops when the budget is
+    met or no task is eligible.
 
     In closed form: task t draws in passes r < min(ceil(alpha_t), size_t),
     so the draws are the pairs (r, visit rank of t) in lexicographic
@@ -139,8 +139,6 @@ def round_robin(allocation: AllocationVector, partition: TaskPartition, budget: 
     _check_seed(seed)
 
     n_tasks = len(partition.tasks)
-    if allocation.tasks is not None and tuple(allocation.tasks) != partition.tasks:
-        raise ConfigError("allocation tasks are not the partition's tasks in partition order")
     if len(allocation.alpha) != n_tasks:
         raise ConfigError(f"allocation has {len(allocation.alpha)} entries for {n_tasks} tasks")
 
@@ -251,7 +249,8 @@ class _ColumnKernel:
         gram *= -2.0
         gram += np.add.outer(self.sq_norms[rows], self.sq_norms[cols])
         np.maximum(gram, 0.0, out=gram)
-        gram *= -1.0 if self.spec.kind == "euclidean" else -self.spec.gamma
+        with np.errstate(over="ignore"):  # a huge gamma gives -inf, and exp(-inf) = 0 is exact
+            gram *= -1.0 if self.spec.kind == "euclidean" else -self.spec.gamma
         if self.spec.kind == "rbf":
             np.exp(gram, out=gram)
         return gram
@@ -603,20 +602,14 @@ _DEFAULT_KERNELS = {"k_center": "euclidean", "facility_location": "rbf", "dpp": 
 
 
 def _allocation_table(partition, allocation, result, task_conf=None) -> list[dict]:
-    caps = ceil_allocation(allocation.alpha)
-    rows = []
-    for t, label in enumerate(partition.tasks):
-        row = {
-            "task": label,
-            "available": int(partition.counts[t]),
-            "alpha": float(allocation.alpha[t]),
-            "alpha_ceil": int(caps[t]),
-            "selected": result.per_task[label],
-        }
-        if task_conf is not None:
-            row["confidence"] = float(task_conf.values[t])
-        rows.append(row)
-    return rows
+    """One manifest row per task, from columns in the partition's task order."""
+    columns = {"task": partition.tasks, "available": partition.counts.tolist(),
+               "alpha": allocation.alpha.tolist(),
+               "alpha_ceil": ceil_allocation(allocation.alpha).tolist(),
+               "selected": [result.per_task[label] for label in partition.tasks]}
+    if task_conf is not None:
+        columns["confidence"] = task_conf.tolist()
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 
 def run_strategy(pool: Pool, config: StrategyConfig, scores=None) -> SelectionResult:
@@ -642,7 +635,7 @@ def run_strategy(pool: Pool, config: StrategyConfig, scores=None) -> SelectionRe
     elif name in ("task_diversity", "weighted_task_diversity", "active_it"):
         task_conf = None if name == "task_diversity" else task_mean_confidence(pool, scores)
         if name == "task_diversity":
-            alloc = allocate_task_diversity(part.counts, config.budget, tasks=part.tasks)
+            alloc = allocate_task_diversity(part.counts, config.budget)
         elif name == "weighted_task_diversity":
             alloc = allocate_weighted(part.counts, task_conf, config.budget, base=config.base)
         else:

@@ -7,6 +7,7 @@ synthetic pool, so this module takes a few minutes; everything else
 finishes in seconds.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -31,7 +32,7 @@ from taskpick.allocation import (
     ceil_allocation,
 )
 from taskpick.pool import load_pool, read_embeddings, write_embeddings
-from taskpick.scoring import TaskConfidence, score_pool, task_mean_confidence
+from taskpick.scoring import score_pool, task_mean_confidence
 from taskpick.selectors import (
     KernelSpec,
     StrategyConfig,
@@ -51,8 +52,7 @@ def _report(number: int, label: str, started: float, limit: float) -> None:
 
 
 def conf_of(values):
-    values = np.asarray(values, dtype=np.float64)
-    return TaskConfidence(tasks=tuple(f"t{i}" for i in range(len(values))), values=values)
+    return np.asarray(values, dtype=np.float64)
 
 
 def test_criterion_1_minmax_allocation_optimality():
@@ -105,7 +105,7 @@ def test_criterion_3_round_robin_contract():
         alpha = rng.uniform(0.0, counts + 2.0)
         budget = int(rng.integers(1, counts.sum() + 4))
         seed = int(rng.integers(0, 2**32))
-        allocation = AllocationVector(alpha=alpha, tasks=pool.partition.tasks)
+        allocation = AllocationVector(alpha=alpha)
         result = round_robin(allocation, pool.partition, budget, seed)
 
         caps = ceil_allocation(alpha)
@@ -266,6 +266,41 @@ def test_criterion_7_desk_scale_throughput(desk_scale_inputs):
         f"\n[acceptance] criterion 7 PASS: weighted pipeline {pipeline_s:.2f}s of 10s,"
         f" facility location {fl_s:.0f}s of 600s on N=90000, d=64, T=1691"
     )
+
+
+# (strategy, budget): digests of the selected ids, the per-task counts in
+# partition order, and the manifest's allocation table, on criterion 7's pool
+PINNED_DESK_ALLOCATIONS = {
+    ("task_diversity", 9_000): ("0a7e6ee1da29cf8a", "00bf42c2e9e6a9ad", "8a2de2d80ec6b210"),
+    ("task_diversity", 30_000): ("b9c08455fdbf2674", "fbee61ee910e182e", "fb3d83235094fd8a"),
+    ("weighted_task_diversity", 9_000): ("4c3f48890cf522b5", "79662084810956da", "0824c74a34926784"),
+    ("weighted_task_diversity", 30_000): ("4b0962fa611810d9", "89f48a1fab367bbc", "2dcfb1661058cb92"),
+    ("active_it", 9_000): ("5b5254c46fece053", "38d6cef3ee2fa7aa", "8d564b59f1097567"),
+    ("active_it", 30_000): ("2184e1807fb1f6b1", "ac5f2457dc2f48f4", "11b94f18bed871b6"),
+}
+
+
+@pytest.fixture(scope="module")
+def desk_scale_pool(desk_scale_inputs):
+    return load_pool(desk_scale_inputs[0])
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("strategy, budget", PINNED_DESK_ALLOCATIONS)
+def test_allocation_strategies_are_pinned_at_desk_scale(strategy, budget, desk_scale_pool):
+    pool = desk_scale_pool
+    result = run_strategy(pool, StrategyConfig(strategy, budget=budget))
+    ids = pool.ids()
+    counts = [result.per_task[label] for label in pool.partition.tasks]
+    assert len(result.selected) == budget
+    assert (
+        _digest(",".join(ids[i] for i in result.selected)),
+        _digest(",".join(map(str, counts))),
+        _digest(json.dumps(result.allocation, sort_keys=True)),
+    ) == PINNED_DESK_ALLOCATIONS[strategy, budget]
 
 
 def test_criterion_8_low_confidence_tasks_dominate():

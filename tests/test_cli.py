@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -203,6 +204,43 @@ class TestSelect:
             manifest["inputs"].pop("scores_cache")
             manifests.append(manifest)
         assert manifests[0] == manifests[1]
+
+    @pytest.mark.parametrize("kind", ["confidence", "token_probs"])
+    def test_cache_of_another_pool_exits_with_one_error_line(self, tmp_path, capsys, kind):
+        # pools A and B share ids and differ only in which record is the less confident
+        def rows(low, high):
+            if kind == "confidence":
+                values = {"a": low, "b": high}
+            else:
+                values = {"a": [[low, 0.05]], "b": [[high, 0.05]]}
+            return [{"id": rec_id, "task": "t", kind: value} for rec_id, value in values.items()]
+
+        pool_a = write_pool(tmp_path / "a.jsonl", rows(0.2, 0.9))
+        pool_b = write_pool(tmp_path / "b.jsonl", rows(0.9, 0.2))
+        cache = tmp_path / "scores.jsonl"
+        assert main(["score", "--pool", pool_a, "--output", str(cache)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "m.json"
+        code = main(["select", "--pool", pool_b, "--strategy", "least_confidence", "--budget", "1",
+                     "--scores-cache", str(cache), "--output", str(out)])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 1 and not out.exists()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {cache}:1: record 'a': ")
+        assert err[0].endswith("re-run `taskpick score` to rewrite the cache")
+
+    @pytest.mark.parametrize("strategy", ["facility_location", "dpp"])
+    def test_huge_rbf_gamma_runs_without_warnings(self, tmp_path, strategy):
+        rows = [{"id": f"x{i}", "task": "t", "embedding": point}
+                for i, point in enumerate([[0.0, 0.0], [3.0, 4.0], [1.0, 0.0]])]
+        pool = write_pool(tmp_path / "p.jsonl", rows)
+        out = tmp_path / "m.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["select", "--pool", pool, "--strategy", strategy, "--kernel", "rbf",
+                         "--gamma", "1e308", "--budget", "2", "--output", str(out)])
+        assert code == 0
+        assert len(json.loads(out.read_text())["selected_ids"]) == 2
 
     def test_outputs_follow_the_umask(self, tmp_path):
         pool = toy_pool(tmp_path)

@@ -6,7 +6,7 @@ scoring strategies run on the 3K token-trace pool; each case pins a digest
 of the selected ids and one of the per-task counts. A change that alters a
 pick on purpose updates these tables and says why in CHANGES.md; any other
 change must leave them as they are. The embeddings are the float32 rows the
-sidecar holds, widened to float64 as ``Pool.embedding_matrix`` widens them.
+sidecar holds, widened to float64 as the selectors' kernel widens them.
 Each strategy's whole CLI manifest is pinned on both pools too, less its
 input paths and its objective trace.
 """

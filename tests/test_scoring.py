@@ -162,12 +162,12 @@ def test_min_margin_never_exceeds_mean_margin(rng):
 def test_task_mean_confidence_simple():
     pool = make_pool({"a": 2}, confidences=[0.2, 0.4])
     tc = task_mean_confidence(pool)
-    assert tc.values[0] == pytest.approx(0.3, rel=1e-12)
+    assert tc[0] == pytest.approx(0.3, rel=1e-12)
 
 
 def test_task_mean_confidence_single_member():
     pool = make_pool({"a": 1}, confidences=[0.7])
-    assert task_mean_confidence(pool).values[0] == pytest.approx(0.7)
+    assert task_mean_confidence(pool)[0] == pytest.approx(0.7)
 
 
 def test_task_mean_confidence_from_traces():
@@ -179,7 +179,7 @@ def test_task_mean_confidence_from_traces():
     ]
     expected = (0.504 + 0.25 + 0.25) / 3
     pool = make_pool({"a": 3}, token_probs=traces)
-    assert task_mean_confidence(pool).values[0] == pytest.approx(expected, rel=1e-9)
+    assert task_mean_confidence(pool)[0] == pytest.approx(expected, rel=1e-9)
 
 
 def test_task_mean_confidence_bounded_by_members(rng):
@@ -188,14 +188,14 @@ def test_task_mean_confidence_bounded_by_members(rng):
     tc = task_mean_confidence(pool)
     for t, label in enumerate(pool.partition.tasks):
         vals = [confs[i] for i in pool.partition.members_of(label)]
-        assert min(vals) <= tc.values[t] <= max(vals)
+        assert min(vals) <= tc[t] <= max(vals)
 
 
 def test_task_mean_confidence_floor():
     # long trace drives the raw product far below the floor
     trace = tuple(((0.1, 0.05),) * 200)
     pool = make_pool({"a": 1}, token_probs=[trace])
-    assert task_mean_confidence(pool).values[0] == CONFIDENCE_FLOOR
+    assert task_mean_confidence(pool)[0] == CONFIDENCE_FLOOR
 
 
 def test_missing_confidence_raises():
@@ -260,7 +260,7 @@ def test_task_means_of_confidence_fields_are_exact(rng):
     pool = Pool(
         [PromptRecord(id=f"r{i}", task=labels[i], confidence=confs[i]) for i in order]
     )
-    values = task_mean_confidence(pool).values
+    values = task_mean_confidence(pool)
     conf = np.array([confs[i] for i in order])
     for t, label in enumerate(pool.partition.tasks):
         members = np.array([i for i, j in enumerate(order) if labels[j] == label])

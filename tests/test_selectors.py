@@ -54,8 +54,8 @@ from taskpick.selectors import (
 )
 
 
-def alloc_of(alpha, tasks=None):
-    return AllocationVector(alpha=np.asarray(alpha, dtype=np.float64), tasks=tasks)
+def alloc_of(alpha):
+    return AllocationVector(alpha=np.asarray(alpha, dtype=np.float64))
 
 
 class TestRoundRobin:
@@ -86,7 +86,7 @@ class TestRoundRobin:
 
     def test_deterministic_under_seed(self):
         pool = make_pool({"a": 30, "b": 20, "c": 10})
-        alloc = allocate_task_diversity(pool.partition.counts, 25, tasks=pool.partition.tasks)
+        alloc = allocate_task_diversity(pool.partition.counts, 25)
         r1 = round_robin(alloc, pool.partition, 25, seed=99)
         r2 = round_robin(alloc, pool.partition, 25, seed=99)
         assert r1.selected == r2.selected
@@ -99,19 +99,18 @@ class TestRoundRobin:
         pool_b = make_pool({"keep": 12, "zzz": 9, "yyy": 4})
         # same members for "keep" in both pools: indices 0..11
         assert np.array_equal(pool_a.partition.members_of("keep"), pool_b.partition.members_of("keep"))
-        ra = round_robin(alloc_of([4, 0], tasks=("keep", "other")), pool_a.partition, 4, seed=5)
-        rb = round_robin(
-            alloc_of([4, 0, 0], tasks=("keep", "yyy", "zzz")), pool_b.partition, 4, seed=5
-        )
+        # both allocations are in partition order: ("keep", "other") and ("keep", "yyy", "zzz")
+        ra = round_robin(alloc_of([4, 0]), pool_a.partition, 4, seed=5)
+        rb = round_robin(alloc_of([4, 0, 0]), pool_b.partition, 4, seed=5)
         keep_a = [i for i in ra.selected if i in set(pool_a.partition.members_of("keep"))]
         keep_b = [i for i in rb.selected if i in set(pool_b.partition.members_of("keep"))]
         assert keep_a == keep_b
 
-    @pytest.mark.parametrize("tasks", [("b", "a"), ("a", "c"), ("a",)])
-    def test_labelled_allocation_must_be_in_partition_order(self, tasks):
+    @pytest.mark.parametrize("alpha", [[1.0], [1.0, 1.0, 1.0]])
+    def test_allocation_needs_one_entry_per_task(self, alpha):
         pool = make_pool({"a": 2, "b": 2})
-        with pytest.raises(ConfigError, match="partition order"):
-            round_robin(alloc_of([1.0] * len(tasks), tasks=tasks), pool.partition, 2, seed=0)
+        with pytest.raises(ConfigError, match=f"{len(alpha)} entries for 2 tasks"):
+            round_robin(alloc_of(alpha), pool.partition, 2, seed=0)
 
     def test_caps_and_fairness_randomized(self, rng):
         for _ in range(150):
@@ -122,7 +121,7 @@ class TestRoundRobin:
             alpha = rng.uniform(0.0, counts + 2.0)
             budget = int(rng.integers(1, counts.sum() + 4))
             seed = int(rng.integers(0, 1000))
-            result = round_robin(alloc_of(alpha, tasks=pool.partition.tasks), pool.partition, budget, seed=seed)
+            result = round_robin(alloc_of(alpha), pool.partition, budget, seed=seed)
             # the closed form draws exactly what the pass-by-pass loop draws
             assert result.selected == loop_round_robin(pool.partition, alpha, budget, seed)
             caps = ceil_allocation(
@@ -606,7 +605,7 @@ class TestRunStrategy:
         budget, seed = 90, 5
         counts, conf = pool.partition.counts, task_mean_confidence(pool)
         if strategy == "task_diversity":
-            alloc = allocate_task_diversity(counts, budget, tasks=pool.partition.tasks)
+            alloc = allocate_task_diversity(counts, budget)
         elif strategy == "weighted_task_diversity":
             alloc = allocate_weighted(counts, conf, budget, base=5)
         else:
