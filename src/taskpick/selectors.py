@@ -28,8 +28,11 @@ from .errors import ConfigError, InvalidKernel, MissingScore, ValidationError
 from .pool import Pool, TaskPartition
 from .scoring import Scores, score_pool, task_mean_confidence
 
-# Largest kernel block facility location builds: 2^20 floats, 8 MB.
-_TILE_FLOATS = 1 << 20
+# Largest kernel tile: 2^16 floats (256 x 256, 512 KB). _ColumnKernel writes
+# every tile into two scratch arrays of this size, the Gram block and the
+# |a|^2 + |b|^2 block, which fit in a 2 MB L2 cache together; no tile
+# allocates, and a tile is valid only until the next tile is made.
+_TILE_FLOATS = 1 << 16
 # Gains within this relative distance of the best count as tied; a greedy
 # pick is the lowest index among them, so float noise cannot decide it.
 _TIE_RTOL = 1e-12
@@ -217,7 +220,10 @@ class _ColumnKernel:
     greedy selectors usable on pools of ~100K examples. This is the one
     place that widens the points to float64 and forms squared norms,
     squared distances and the cosine normalisation. ``entries`` counts the
-    kernel values computed so far.
+    kernel values computed so far. A tile lives in the kernel's scratch
+    arrays, while ``column()`` returns an array of its own. The -2 of the
+    squared distance is folded into the right operand, once per column
+    block; -2 is a power of two, so that is exact barring subnormal products.
     """
 
     def __init__(self, embeddings, spec: KernelSpec):
@@ -237,17 +243,25 @@ class _ColumnKernel:
             self.points = embeddings / np.maximum(np.sqrt(self.sq_norms), 1e-30)[:, None]
             self.sq_norms = (self.points * self.points).sum(axis=1)
         self.entries = 0
+        self._gram, self._sums = np.empty((2, _TILE_FLOATS))
+        # rows [|x|^2, 1, |x|^2]: [|a|^2, 1] times [1, |b|^2]^T rounds once,
+        # so it is |a|^2 + |b|^2 to the bit, and a matrix product forms a
+        # block of those sums several times faster than a broadcast add
+        self._norms = np.column_stack([self.sq_norms, np.ones(self.n), self.sq_norms])
 
-    def _similarity(self, gram: np.ndarray, rows, cols) -> np.ndarray:
-        """Kernel values from the Gram block of points[rows] and points[cols],
-        computed in place."""
+    def right(self, cols) -> np.ndarray:
+        """points[cols]^T, times -2 unless cosine: the right operand of K[:, cols]."""
+        return (self.points[cols] * (1.0 if self.spec.kind == "cosine" else -2.0)).T
+
+    def _similarity(self, gram: np.ndarray, norm_sums) -> np.ndarray:
+        """Kernel values, in place, from the Gram block with right(cols);
+        ``norm_sums()`` gives |a|^2 + |b|^2, called for the distance kernels."""
         self.entries += gram.size
         if self.spec.kind == "cosine":
             return gram
         # squared distance (|a|^2 + |b|^2) - 2 a.b, clamped at 0; the
         # euclidean similarity is its negation, rbf exp(-gamma * it)
-        gram *= -2.0
-        gram += np.add.outer(self.sq_norms[rows], self.sq_norms[cols])
+        gram += norm_sums()
         np.maximum(gram, 0.0, out=gram)
         with np.errstate(over="ignore"):  # a huge gamma gives -inf, and exp(-inf) = 0 is exact
             gram *= -1.0 if self.spec.kind == "euclidean" else -self.spec.gamma
@@ -255,13 +269,19 @@ class _ColumnKernel:
             np.exp(gram, out=gram)
         return gram
 
-    def cross(self, rows, cols) -> np.ndarray:
-        """Similarity block K[rows, cols] for slices or index arrays."""
-        return self._similarity(self.points[rows] @ self.points[cols].T, rows, cols)
+    def cross(self, rows, cols, right: np.ndarray) -> np.ndarray:
+        """Similarity tile K[rows, cols] in the scratch arrays; ``right`` is right(cols)."""
+        left = self.points[rows]
+        size = left.shape[0] * right.shape[1]
+        gram = np.matmul(left, right, out=self._gram[:size].reshape(left.shape[0], -1))
+        sums = self._sums[:size].reshape(gram.shape)
+        return self._similarity(
+            gram, lambda: np.matmul(self._norms[rows, :2], self._norms[cols, 1:].T, out=sums)
+        )
 
     def column(self, j: int) -> np.ndarray:
         """Similarity column K[:, j], as one matrix-vector product."""
-        return self._similarity(self.points @ self.points[j], slice(None), j)
+        return self._similarity(self.points @ self.right(j), lambda: self.sq_norms + self.sq_norms[j])
 
     def tiles(self, rows, cols):
         """Yield (row span, column span, tile) covering K[rows, cols].
@@ -274,11 +294,11 @@ class _ColumnKernel:
         height = max(1, _TILE_FLOATS // width)
         for c in range(0, n_cols, width):
             cs = slice(c, c + width)
+            col_idx = cs if cols is None else cols[cs]
+            right = self.right(col_idx)
             for r in range(0, n_rows, height):
                 rs = slice(r, r + height)
-                yield rs, cs, self.cross(
-                    rs if rows is None else rows[rs], cs if cols is None else cols[cs]
-                )
+                yield rs, cs, self.cross(rs if rows is None else rows[rs], col_idx, right)
 
 
 def select_k_center(embeddings, budget: int, kernel: KernelSpec | None = None) -> SelectionResult:
@@ -350,7 +370,7 @@ def select_facility_location(embeddings, budget: int, kernel: KernelSpec) -> Sel
     index among them.
 
     The kernel is only ever built in tiles of at most _TILE_FLOATS
-    entries, so memory is O(N*d) plus a few tiles. The column sums come
+    entries, so memory is O(N*d) plus two tile buffers. The column sums come
     from the tiles K[A, B] with B >= A, each computed once and summed
     along both axes, since K is symmetric.
 
@@ -379,9 +399,10 @@ def select_facility_location(embeddings, budget: int, kernel: KernelSpec) -> Sel
     side = math.isqrt(_TILE_FLOATS)
     col_sums = np.zeros(n)
     low = np.inf  # smallest kernel entry
-    for a in range(0, n, side):
-        for b in range(a, n, side):
-            tile = cols.cross(slice(a, a + side), slice(b, b + side))
+    for b in range(0, n, side):
+        right = cols.right(slice(b, b + side))
+        for a in range(0, b + 1, side):
+            tile = cols.cross(slice(a, a + side), slice(b, b + side), right)
             col_sums[b : b + side] += tile.sum(axis=0)
             if b != a:
                 col_sums[a : a + side] += tile.sum(axis=1)
@@ -441,13 +462,16 @@ def select_facility_location(embeddings, budget: int, kernel: KernelSpec) -> Sel
         captured = np.flatnonzero(column > best)
         if captured.size and members.size:
             # a captured point i moves from old_i to new_i, so candidate c
-            # loses clip(K(i,c), old_i, new_i) - old_i of its gain
+            # loses clip(K(i,c), old_i, new_i) - old_i of its gain, which
+            # is min(max(K(i,c) - old_i, 0), new_i - old_i) to the bit, as
+            # rounding is monotone
             old_best = best[captured]
-            new_best = column[captured]
+            rise = column[captured] - old_best
             loss = np.zeros(members.size)
             for rs, cs, tile in cols.tiles(captured, members):
-                np.clip(tile, old_best[rs, None], new_best[rs, None], out=tile)
                 tile -= old_best[rs, None]
+                np.maximum(tile, 0.0, out=tile)
+                np.minimum(tile, rise[rs, None], out=tile)
                 loss[cs] += tile.sum(axis=0)
             gain[members] -= loss
         best[captured] = column[captured]

@@ -261,6 +261,12 @@ def test_criterion_7_desk_scale_throughput(desk_scale_inputs):
     trace = fl.objective_trace
     assert all(b >= a - 1e-9 for a, b in zip(trace, trace[1:]))
     assert fl_s < 600.0, f"facility location took {fl_s:.0f}s"
+    # the paper-scale FL pick, pinned like tests/test_pinned.py's 6K prefixes
+    ids = pool.ids()
+    assert _digest(",".join(ids[i] for i in fl.selected)) == "6f33b0f5e454d647"
+    assert fl.stats == {"kernel_entries": 12_596_068_903, "gain_evaluations": 83_142,
+                        "front_demotions": 82_008, "near_tie_picks": 0}
+    assert trace[-1] == pytest.approx(61062.57943207203, rel=1e-12)
 
     print(
         f"\n[acceptance] criterion 7 PASS: weighted pipeline {pipeline_s:.2f}s of 10s,"

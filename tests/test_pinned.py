@@ -36,31 +36,31 @@ RBF = KernelSpec("rbf", 0.002)
 PINNED = {
     "fl-rbf-801": (
         select_facility_location, 801, RBF, 1_000, "8282ce93afac9feb",
-        {"kernel_entries": 64657335, "gain_evaluations": 5249, "front_demotions": 4115,
+        {"kernel_entries": 62408631, "gain_evaluations": 5249, "front_demotions": 4115,
          "near_tie_picks": 197},
         4138.972677889521,
     ),
     "fl-rbf-802": (
         select_facility_location, 802, RBF, 1_000, "0ad6d9cbbda08e16",
-        {"kernel_entries": 67026729, "gain_evaluations": 5250, "front_demotions": 4132,
+        {"kernel_entries": 64778025, "gain_evaluations": 5250, "front_demotions": 4132,
          "near_tie_picks": 208},
         4292.784531382566,
     ),
     "fl-rbf-803": (
         select_facility_location, 803, RBF, 1_000, "27aaafd07d2fc826",
-        {"kernel_entries": 66953499, "gain_evaluations": 5234, "front_demotions": 3991,
+        {"kernel_entries": 64704795, "gain_evaluations": 5234, "front_demotions": 3991,
          "near_tie_picks": 208},
         4273.87790542694,
     ),
     "fl-euclidean-801": (
         select_facility_location, 801, KernelSpec("euclidean"), 1_000, "f3d531161bc5840d",
-        {"kernel_entries": 149858493, "gain_evaluations": 16339, "front_demotions": 15144,
+        {"kernel_entries": 147609789, "gain_evaluations": 16339, "front_demotions": 15144,
          "near_tie_picks": 280},
         -4338496.555274526,
     ),
     "fl-cosine-801": (
         select_facility_location, 801, KernelSpec("cosine"), 1_000, "88da6d5bddac7c4e",
-        {"kernel_entries": 247796664, "gain_evaluations": 30598, "front_demotions": 29391,
+        {"kernel_entries": 245547960, "gain_evaluations": 30598, "front_demotions": 29391,
          "near_tie_picks": 181},
         5448.743443021247,
     ),
@@ -141,7 +141,7 @@ PINNED_MANIFESTS = {
     ("desk", "weighted_task_diversity"): "a62748132b30ed10",
     ("desk", "active_it"): "19a3b28146407daa",
     ("desk", "k_center"): "4a3cc2893e19cf89",
-    ("desk", "facility_location"): "2016a53a37de809f",
+    ("desk", "facility_location"): "1e84908c0f539c8b",
     ("desk", "dpp"): "c7bf49db0c6ec698",
 }
 

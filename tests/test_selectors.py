@@ -375,23 +375,82 @@ class TestFacilityLocationTiles:
     def test_tiles_stay_within_cap_and_picks_do_not_depend_on_them(self, rng, monkeypatch):
         centers = 4.0 * rng.standard_normal((12, 5))
         pts = centers[rng.integers(0, 12, size=700)] + rng.standard_normal((700, 5))
-        spec = KernelSpec("rbf", 0.05)
-        reference = select_facility_location(pts, 60, spec)
+        specs = (KernelSpec("rbf", 0.05), KernelSpec("euclidean"), KernelSpec("cosine"))
+        references = [select_facility_location(pts, 60, spec) for spec in specs]
         cross = selectors._ColumnKernel.cross
 
-        def checked_cross(self, rows, cols):
-            block = cross(self, rows, cols)
+        def checked_cross(self, rows, cols, right):
+            block = cross(self, rows, cols, right)
             assert block.size <= selectors._TILE_FLOATS
             return block
 
         monkeypatch.setattr(selectors._ColumnKernel, "cross", checked_cross)
         for tile_floats in (1 << 12, 1 << 15, selectors._TILE_FLOATS):
             monkeypatch.setattr(selectors, "_TILE_FLOATS", tile_floats)
-            result = select_facility_location(pts, 60, spec)
-            assert result.selected == reference.selected
-            assert result.objective_trace[-1] == pytest.approx(
-                reference.objective_trace[-1], rel=1e-12
-            )
+            for spec, reference in zip(specs, references):
+                result = select_facility_location(pts, 60, spec)
+                assert result.selected == reference.selected, (spec.kind, tile_floats)
+                assert [x.hex() for x in result.objective_trace] == [
+                    x.hex() for x in reference.objective_trace
+                ], (spec.kind, tile_floats)
+
+    @pytest.mark.parametrize("kind", ["rbf", "euclidean", "cosine"])
+    def test_tiles_do_not_overwrite_earlier_columns(self, rng, kind):
+        pts = rng.standard_normal((300, 4))
+        kern = selectors._ColumnKernel(pts, KernelSpec(kind))
+        column = kern.column(7)
+        kept = column.copy()
+        for _, _, tile in kern.tiles(None, np.arange(300)):
+            assert not np.shares_memory(tile, column)
+        assert column.tobytes() == kept.tobytes()
+        assert column.tobytes() == kern.column(7).tobytes()
+
+    @pytest.mark.parametrize("kind", ["rbf", "euclidean", "cosine"])
+    def test_tiles_are_the_distance_formula_to_the_bit(self, rng, kind, monkeypatch):
+        # the -2 folded into the right operand and the |a|^2 + |b|^2 block
+        # formed as a matrix product must give the floats of the plain formula
+        monkeypatch.setattr(selectors, "_TILE_FLOATS", 1 << 12)
+        spec = KernelSpec(kind, 0.3 if kind == "rbf" else None)
+        kern = selectors._ColumnKernel(3.0 * rng.standard_normal((300, 16)), spec)
+        pts, sq = kern.points, kern.sq_norms
+        cols = rng.permutation(300)[:200]
+
+        def plain(gram, norm_sums):
+            if kind == "cosine":
+                return gram
+            dist = np.maximum(gram * -2.0 + norm_sums, 0.0)
+            return -dist if kind == "euclidean" else np.exp(dist * -0.3)
+
+        dense = np.empty((300, 200))
+        for rs, cs, tile in kern.tiles(None, cols):
+            dense[rs, cs] = tile
+        expected = plain(pts @ pts[cols].T, np.add.outer(sq, sq[cols]))
+        assert dense.tobytes() == expected.tobytes()
+        assert kern.column(7).tobytes() == plain(pts @ pts[7], sq + sq[7]).tobytes()
+
+    def test_capture_loss_is_the_clip_form_to_the_bit(self, rng):
+        # FL's capture update takes min(max(K - old, 0), new - old) for
+        # clip(K, old, new) - old; every float must come out the same
+        tiny = np.nextafter(0.0, 1.0)
+        edge = [-0.0, 0.0, tiny, -tiny, 1e-310, -1e-310, 2.0**-1022, 0.5, 1.0, -3.0,
+                np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)]
+        olds, news, ks = [], [], []
+        for old in edge:
+            for new in edge:
+                if old > new:
+                    continue
+                near = [np.nextafter(x, to) for x in (old, new) for to in (-np.inf, np.inf)]
+                for k in edge + near:
+                    olds.append(old)
+                    news.append(new)
+                    ks.append(k)
+        old = np.concatenate([olds, rng.standard_normal(5000)])
+        new = np.concatenate([news, old[len(olds):] + np.abs(rng.standard_normal(5000))])
+        k = np.concatenate([ks, old[len(olds):] + 1.5 * rng.standard_normal(5000)])
+
+        clipped = np.clip(k, old, new) - old
+        capped = np.minimum(np.maximum(k - old, 0.0), new - old)
+        assert capped.tobytes() == clipped.tobytes()
 
     def test_picks_do_not_depend_on_the_front_cap(self, rng, monkeypatch):
         centers = 4.0 * rng.standard_normal((12, 5))
