@@ -59,12 +59,9 @@ def cmd_select(args) -> int:
     pool = load_pool(args.pool, args.embeddings)
 
     scores = None
+    new_cache = args.scores_cache and not os.path.exists(args.scores_cache)
     if args.scores_cache:
-        if os.path.exists(args.scores_cache):
-            scores = read_scores(args.scores_cache, pool)
-        else:
-            scores = score_pool(pool)
-            _atomic_write(args.scores_cache, render_scores(pool, scores))
+        scores = score_pool(pool) if new_cache else read_scores(args.scores_cache, pool)
 
     config = StrategyConfig(
         strategy=args.strategy,
@@ -75,6 +72,8 @@ def cmd_select(args) -> int:
         jitter=args.jitter,
     )
     result = run_strategy(pool, config, scores=scores)
+    if new_cache:  # only once the selection has succeeded
+        _atomic_write(args.scores_cache, render_scores(pool, scores))
 
     manifest = manifest_payload(result, pool)
     manifest["inputs"] = {

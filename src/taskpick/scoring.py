@@ -2,7 +2,8 @@
 
 All scores are pure functions of the token-probability trace (or of a
 precomputed confidence). ``score_pool`` computes them for a whole pool
-with segment reductions over its trace columns.
+with segment reductions over its trace columns. A scores cache is valid
+only as the exact bytes ``render_scores`` writes for the pool at hand.
 """
 
 import json
@@ -11,8 +12,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DegenerateProbability, MissingConfidence, ParseError, ValidationError
-from .pool import _NUMBERS, Pool, _json_lines
+from .errors import DegenerateProbability, MissingConfidence, ValidationError
+from .pool import Pool, _not_utf8
 
 # Task means are floored before they are ever inverted downstream.
 CONFIDENCE_FLOOR = 1e-12
@@ -35,7 +36,6 @@ class Scores:
 
 
 _SCORE_FIELDS = tuple(f.name for f in fields(Scores))
-_SCORE_TYPES = _NUMBERS | {type(None)}
 
 
 def score_pool(pool: Pool) -> Scores:
@@ -102,46 +102,21 @@ def render_scores(pool: Pool, scores: Scores) -> str:
 
 
 def read_scores(path, pool: Pool) -> Scores:
-    """Load a scores cache and check that it holds this pool's scores.
-
-    Each pool id must appear once and no other id may. ``confidence`` and
-    ``log_confidence`` come in pairs, and a confidence of 0.0 is accepted
-    only where ``exp(log_confidence)`` underflows to it. Then every value
-    must equal ``score_pool(pool)``'s bit for bit (NaN where absent), so a
-    cache written for another pool with the same ids is refused.
-    """
-    ids = pool.ids()
-    index = {rec_id: i for i, rec_id in enumerate(ids)}
-    rows, line_of = [None] * len(ids), [0] * len(ids)
-    for line_no, obj in _json_lines(path):
-        if not isinstance(obj, dict) or not isinstance(obj.get("id"), str):
-            raise ParseError(f"{path}:{line_no}: score record needs a string 'id'")
-        i = index.get(obj["id"])
-        if i is None or line_of[i]:
-            what = "is not in the pool" if i is None else f"repeats line {line_of[i]}"
-            raise ValidationError(f"{path}:{line_no}: id {obj['id']!r} {what}")
-        rows[i], line_of[i] = [obj.get(name) for name in _SCORE_FIELDS], line_no
-    if None in rows:
-        raise ValidationError(f"scores cache is missing record {ids[rows.index(None)]!r}")
-
-    def check(mask, msg, error=ParseError):
-        if (bad := np.flatnonzero(mask)).size:
-            raise error(f"{path}:{line_of[bad[0]]}: record {ids[bad[0]]!r}: {msg}")
-
-    check([not _SCORE_TYPES.issuperset(map(type, row)) for row in rows], "a score is not a number")
-    table = np.array(rows, dtype=np.float64)  # None becomes NaN
-    given = np.not_equal(rows, None)
-    check((given & ~np.isfinite(table)).any(axis=1), "a score is not finite")
-    check(given[:, 0] != given[:, 1], "'confidence' and 'log_confidence' come in pairs;"
-          " re-run `taskpick score` to rewrite the cache")
-    conf, log_conf = table[:, 0], table[:, 1]
-    underflow = (conf == 0.0) & (np.exp(np.minimum(log_conf, 0.0)) == 0.0)
-    check((~((conf > 0.0) & (conf <= 1.0)) & given[:, 0] & ~underflow) | (log_conf > 0.0),
-          "cached confidence is outside (0, 1] and is not the underflow of its log_confidence",
-          ValidationError)
+    """This pool's scores, if ``path`` holds the exact bytes ``render_scores``
+    writes for them; any other file is refused at its first differing line."""
     scores = score_pool(pool)
-    fresh = np.column_stack([getattr(scores, name) for name in _SCORE_FIELDS])
-    same = (table.view(np.uint64) == fresh.view(np.uint64)) | (np.isnan(table) & np.isnan(fresh))
-    check(~same.all(axis=1), "cached scores differ from this pool's;"
-          " re-run `taskpick score` to rewrite the cache", ValidationError)
-    return scores
+    expected = render_scores(pool, scores).encode()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data == expected:
+        return scores
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from exc
+    size = min(len(data), len(expected))
+    differ = np.frombuffer(data, np.uint8, size) != np.frombuffer(expected, np.uint8, size)
+    row = data.count(b"\n", 0, int(np.argmax(differ)) if differ.any() else size)
+    where = f"record {pool.ids()[row]!r}" if row < len(pool) else f"past the pool's {len(pool)} records"
+    raise ValidationError(f"{path}:{row + 1}: {where}: cached scores differ from this pool's;"
+                          " re-run `taskpick score` to rewrite the cache")

@@ -414,14 +414,17 @@ def select_facility_location(embeddings, budget: int, kernel: KernelSpec) -> Sel
     trace = [float(best.sum())]
     stats = {"gain_evaluations": 0, "front_demotions": 0, "near_tie_picks": int(tied)}
 
-    def exact_gains(idx: np.ndarray) -> np.ndarray:
-        gains = np.zeros(idx.size)
-        for rs, cs, tile in cols.tiles(None, idx):
-            tile -= best[rs, None]
+    def covered(rows, idx: np.ndarray, floor: np.ndarray, cap=None) -> np.ndarray:
+        """Sum over ``rows`` (None for all) of min(max(K(i, c) - floor_i, 0), cap_i)
+        for each c in ``idx``; ``floor`` and ``cap`` align with ``rows``."""
+        sums = np.zeros(idx.size)
+        for rs, cs, tile in cols.tiles(rows, idx):
+            tile -= floor[rs, None]
             np.maximum(tile, 0.0, out=tile)
-            gains[cs] += tile.sum(axis=0)
-        stats["gain_evaluations"] += idx.size
-        return gains
+            if cap is not None:
+                np.minimum(tile, cap[rs, None], out=tile)
+            sums[cs] += tile.sum(axis=0)
+        return sums
 
     # The seed bound needs no second kernel pass: every term
     # max(K(i,c) - best_i, 0) is at most K(i,c) - low, so the gain is at
@@ -445,7 +448,8 @@ def select_facility_location(embeddings, budget: int, kernel: KernelSpec) -> Sel
             if not stale.size:
                 break
             absorbed = stale[np.argsort(-gain[stale], kind="stable")[:batch]]
-            gain[absorbed] = exact_gains(absorbed)
+            gain[absorbed] = covered(None, absorbed, best)
+            stats["gain_evaluations"] += absorbed.size
             front[absorbed] = True
             batch = min(batch * 4, _FRONT_CAP)
 
@@ -466,14 +470,7 @@ def select_facility_location(embeddings, budget: int, kernel: KernelSpec) -> Sel
             # is min(max(K(i,c) - old_i, 0), new_i - old_i) to the bit, as
             # rounding is monotone
             old_best = best[captured]
-            rise = column[captured] - old_best
-            loss = np.zeros(members.size)
-            for rs, cs, tile in cols.tiles(captured, members):
-                tile -= old_best[rs, None]
-                np.maximum(tile, 0.0, out=tile)
-                np.minimum(tile, rise[rs, None], out=tile)
-                loss[cs] += tile.sum(axis=0)
-            gain[members] -= loss
+            gain[members] -= covered(captured, members, old_best, column[captured] - old_best)
         best[captured] = column[captured]
         trace.append(float(best.sum()))
 

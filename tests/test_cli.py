@@ -185,7 +185,11 @@ class TestSelect:
         assert cache.read_bytes() == cache_bytes
         assert out1.read_bytes() == out2.read_bytes()
 
-    @pytest.mark.parametrize("strategy", ["least_confidence", "weighted_task_diversity"])
+    @pytest.mark.parametrize(
+        "strategy",
+        ["least_confidence", "mean_entropy", "mean_margin", "min_margin",
+         "weighted_task_diversity", "active_it"],
+    )
     def test_cached_manifest_matches_uncached_past_underflow(self, tmp_path, strategy):
         # 700 positions at p=0.3: the sequence confidence underflows to 0.0
         rows = [
@@ -228,6 +232,17 @@ class TestSelect:
         assert len(err) == 1
         assert err[0].startswith(f"error: {cache}:1: record 'a': ")
         assert err[0].endswith("re-run `taskpick score` to rewrite the cache")
+
+    @pytest.mark.parametrize("flags", [("--strategy", "random", "--budget", "0"),
+                                       ("--strategy", "dpp", "--budget", "1")])
+    def test_failed_select_writes_no_scores_cache(self, tmp_path, capsys, flags):
+        pool = toy_pool(tmp_path)  # no embeddings, so dpp fails at dispatch
+        cache, out = tmp_path / "scores.jsonl", tmp_path / "m.json"
+        code = main(["select", "--pool", pool, *flags, "--scores-cache", str(cache),
+                     "--output", str(out)])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 1 and not out.exists() and not cache.exists()
+        assert len(err) == 1 and err[0].startswith("error:")
 
     @pytest.mark.parametrize("strategy", ["facility_location", "dpp"])
     def test_huge_rbf_gamma_runs_without_warnings(self, tmp_path, strategy):
@@ -377,8 +392,11 @@ class TestSelect:
                      "--scores-cache", str(cache), "--output", str(out)])
         err = capsys.readouterr().err.strip().splitlines()
         assert code == 1 and not out.exists()
-        where = cache if field == "log_confidence" else pool
-        assert err == [f"error: {where}:1: integer of 401 digits does not fit a float"]
+        if field == "log_confidence":
+            assert err == [f"error: {cache}:1: record 'x': cached scores differ from this pool's;"
+                           " re-run `taskpick score` to rewrite the cache"]
+        else:
+            assert err == [f"error: {pool}:1: integer of 401 digits does not fit a float"]
 
     @pytest.mark.parametrize("target", ["pool", "scores_cache", "report"])
     def test_non_utf8_input_exits_with_one_error_line(self, tmp_path, capsys, target):

@@ -6,12 +6,7 @@ import pytest
 
 from conftest import make_pool
 from reference import log_confidence, margins, mean_entropy
-from taskpick.errors import (
-    DegenerateProbability,
-    MissingConfidence,
-    ParseError,
-    ValidationError,
-)
+from taskpick.errors import DegenerateProbability, MissingConfidence, ValidationError
 from taskpick.pool import Pool, PromptRecord
 from taskpick.scoring import (
     CONFIDENCE_FLOOR,
@@ -293,34 +288,50 @@ def _cache(tmp_path, lines):
     return path
 
 
+_DIFFER = "cached scores differ from this pool's; re-run `taskpick score` to rewrite the cache"
+
+
 @pytest.mark.parametrize(
-    "lines, error, message",
+    "lines, line_no, where",
     [
-        (
-            [{"id": "ex-0000"}, {"id": "ex-0001"}, {"id": "ex-0000"}],
-            ValidationError,
-            ":3: id 'ex-0000' repeats line 1",
-        ),
-        ([{"id": "ex-0000"}, {"id": "zzz"}], ValidationError, ":2: id 'zzz' is not in the pool"),
-        ([{"id": "ex-0000"}], ValidationError, "missing record 'ex-0001'"),
-        (
-            [{"id": "ex-0000"}, {"id": "ex-0001", "confidence": 0.5}],
-            ParseError,
-            ":2: record 'ex-0001': .*re-run `taskpick score`",
-        ),
+        ([{"id": "ex-0000"}, {"id": "ex-0001"}, {"id": "ex-0000"}], 3, "past the pool's 2 records"),
+        ([{"id": "ex-0000"}, {"id": "zzz"}], 2, "record 'ex-0001'"),
+        ([{"id": "ex-0000"}], 2, "record 'ex-0001'"),
+        ([{"id": "ex-0000"}, {"id": "ex-0001", "confidence": 0.5}], 2, "record 'ex-0001'"),
         (
             [{"id": "ex-0000"}, {"id": "ex-0001", "confidence": 0.0, "log_confidence": -1.0}],
-            ValidationError,
-            ":2: record 'ex-0001': cached confidence is outside",
+            2,
+            "record 'ex-0001'",
         ),
-        (
-            [{"id": "ex-0000", "mean_margin": float("nan")}, {"id": "ex-0001"}],
-            ParseError,
-            ":1: record 'ex-0000': a score is not finite",
-        ),
+        ([{"id": "ex-0000", "mean_margin": float("nan")}, {"id": "ex-0001"}], 1, "record 'ex-0000'"),
     ],
+    ids=["repeated-id", "unknown-id", "missing-record", "unpaired-confidence", "zero-confidence",
+         "nan-score"],
 )
-def test_read_scores_rejects_malformed_caches(tmp_path, lines, error, message):
+def test_read_scores_rejects_malformed_caches(tmp_path, lines, line_no, where):
     pool = make_pool({"t": 2})
-    with pytest.raises(error, match=message):
-        read_scores(_cache(tmp_path, lines), pool)
+    path = _cache(tmp_path, lines)
+    with pytest.raises(ValidationError) as info:
+        read_scores(path, pool)
+    assert str(info.value) == f"{path}:{line_no}: {where}: {_DIFFER}"
+
+
+@pytest.mark.parametrize(
+    "edit, line_no, where",
+    [
+        (lambda text: text.replace('{"id": "ex-0001", "confidence": 0.5,',
+                                   '{"confidence": 0.5, "id": "ex-0001",'), 2, "record 'ex-0001'"),
+        (lambda text: text.replace('"confidence": 0.5,', '"confidence": 5e-1,'), 2, "record 'ex-0001'"),
+        (lambda text: text + "\n", 4, "past the pool's 3 records"),
+    ],
+    ids=["keys-reordered", "exponent-form", "trailing-blank-line"],
+)
+def test_read_scores_refuses_other_bytes_for_the_same_values(tmp_path, edit, line_no, where):
+    pool = make_pool({"t": 3}, confidences=[0.25, 0.5, 0.75])
+    path = tmp_path / "scores.jsonl"
+    text = render_scores(pool, score_pool(pool))
+    path.write_text(edit(text))
+    assert path.read_text() != text
+    with pytest.raises(ValidationError) as info:
+        read_scores(path, pool)
+    assert str(info.value) == f"{path}:{line_no}: {where}: {_DIFFER}"
