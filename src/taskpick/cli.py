@@ -17,6 +17,7 @@ from .pool import _NUMBERS, _SURROGATE, _not_utf8, _parse_json, load_pool
 from .scoring import read_scores, render_scores, score_pool
 from .selectors import (
     _DEFAULT_KERNELS,
+    _SCORED_STRATEGIES,
     STRATEGIES,
     KernelSpec,
     StrategyConfig,
@@ -50,18 +51,22 @@ def cmd_score(args) -> int:
 
 
 def _resolve_kernel(args) -> KernelSpec | None:
-    """--kernel, else the strategy's default kind, with --gamma applied when it is rbf."""
-    kind = args.kernel or _DEFAULT_KERNELS.get(args.strategy)
-    return None if kind is None else KernelSpec(kind, args.gamma if kind == "rbf" else None)
+    """For a geometric strategy, --kernel or its default kind, with --gamma
+    applied when it is rbf; None, with the flags unchecked, for the others."""
+    if args.strategy not in _DEFAULT_KERNELS:
+        return None
+    kind = args.kernel or _DEFAULT_KERNELS[args.strategy]
+    return KernelSpec(kind, args.gamma if kind == "rbf" else None)
 
 
 def cmd_select(args) -> int:
     pool = load_pool(args.pool, args.embeddings)
 
     scores = None
-    new_cache = args.scores_cache and not os.path.exists(args.scores_cache)
-    if args.scores_cache:
-        scores = score_pool(pool) if new_cache else read_scores(args.scores_cache, pool)
+    cache = args.scores_cache if args.strategy in _SCORED_STRATEGIES else None
+    new_cache = cache and not os.path.exists(cache)
+    if cache:
+        scores = score_pool(pool) if new_cache else read_scores(cache, pool)
 
     config = StrategyConfig(
         strategy=args.strategy,
@@ -73,13 +78,13 @@ def cmd_select(args) -> int:
     )
     result = run_strategy(pool, config, scores=scores)
     if new_cache:  # only once the selection has succeeded
-        _atomic_write(args.scores_cache, render_scores(pool, scores))
+        _atomic_write(cache, render_scores(pool, scores))
 
     manifest = manifest_payload(result, pool)
     manifest["inputs"] = {
         "pool": args.pool,
         "embeddings": args.embeddings,
-        "scores_cache": args.scores_cache,
+        "scores_cache": cache,
     }
     _atomic_write(args.output, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     print(
@@ -201,7 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     select.add_argument(
         "--scores-cache",
         default=None,
-        help="scores cache path: loaded when present, computed and written when absent",
+        help="scores cache path: loaded when present, computed and written when absent;"
+        " only the uncertainty criteria, weighted_task_diversity and active_it use it",
     )
     select.add_argument("--output", required=True, help="selection manifest to write (JSON)")
     select.set_defaults(func=cmd_select)

@@ -44,6 +44,8 @@ _FRONT_CAP = 256
 _JITTER_MARGIN = 1e3
 
 UNCERTAINTY_CRITERIA = ("least_confidence", "mean_entropy", "mean_margin", "min_margin")
+# The strategies that read per-example scores; only they use a scores cache.
+_SCORED_STRATEGIES = (*UNCERTAINTY_CRITERIA, "weighted_task_diversity", "active_it")
 
 STRATEGIES = (
     "random",
@@ -503,19 +505,16 @@ def select_dpp(embeddings, budget: int, kernel: KernelSpec, jitter: float = 1e-6
 
     The euclidean and cosine kernels are K = X X^T for the (normalized)
     points X, so the state lives in d dimensions, with no k x N factor.
-    While the best residual is at least _JITTER_MARGIN x jitter, the
-    incremental Cholesky factor rows are X c for c in R^d, and only
+    The incremental Cholesky factor rows are X c for c in R^d, and only
     P = sum c c^T is kept: c = (x_j - P x_j) / sqrt(pivot), and the
-    residuals drop by (X c)^2. Past that point the subtraction would
-    cancel to noise, so the residuals are recomputed exactly as
-    jitter * (1 + ||z_i||^2), with the whitened points z_i = R^-T x_i and
-    R^T R = G = jitter*I + X_S^T X_S. Each later pick j then downdates them
-    by Sherman-Morrison: with M = I + (sum of z z^T over those picks),
-    G = R^T M R, and residual_i -= jitter (z_i^T u)^2 / (1 + z_j^T u) for
-    u = M^-1 z_j; M >= I, so its solves stay accurate. A pick costs
-    O(N d + d^2) before the switch and O(N d + d^3) after it; memory is
-    O(N d + d^2). A d in the thousands would want a Cholesky update of M
-    instead of a solve.
+    residuals drop by (X c)^2. A pick costs O(N d + d^2); memory is
+    O(N d + d^2). Once the best residual falls below _JITTER_MARGIN x
+    jitter, that subtraction would cancel to noise, so the points are
+    re-based once: with R^T R = jitter*I + X_S^T X_S, the kernel on the
+    unpicked points is X' X'^T + jitter*I for X' = sqrt(jitter) X R^-1
+    (push-through identity). The same update then runs on X' from P = 0
+    and residuals jitter + ||x'_i||^2, which are below about
+    _JITTER_MARGIN x jitter, so they no longer cancel.
 
     The rbf kernel has no finite feature map, so it keeps the k x N
     factor; its k*N*8 bytes are checked against physical memory before
@@ -543,9 +542,9 @@ def select_dpp(embeddings, budget: int, kernel: KernelSpec, jitter: float = 1e-6
         factors = np.zeros((k, n))
         residual = np.full(n, 1.0 + jitter)
     else:
-        proj = np.zeros((d, d))  # P, before the switch
-        whitened = None  # Z, after it
+        proj = np.zeros((d, d))  # P
         residual = kern.sq_norms + jitter
+    rebased = False
 
     selected: list[int] = []
     trace: list[float] = []
@@ -553,14 +552,17 @@ def select_dpp(embeddings, budget: int, kernel: KernelSpec, jitter: float = 1e-6
     log_det = 0.0
     jitter_noted = False
     for step in range(k):
-        if not rbf and whitened is None and not residual.max() >= floor:
-            # R from the QR of [X_S; sqrt(jitter) I] has R^T R = G without
-            # forming G, so the jitter survives where it is below G's rounding
+        if not rbf and not rebased and not residual.max() >= floor:
+            # R from the QR of [X_S; sqrt(jitter) I] has R^T R = jitter*I +
+            # X_S^T X_S without forming it, so the jitter survives where it
+            # is below the rounding of X_S^T X_S
+            rebased = True
             stacked = np.vstack([points[selected], math.sqrt(jitter) * np.eye(d)])
             upper = np.linalg.qr(stacked, mode="r")
-            whitened = np.linalg.solve(upper.T, points.T)  # Z = R^-T X^T
-            gram = np.eye(d)  # M, with G = R^T M R as picks join S
-            residual = jitter * (1.0 + np.einsum("ij,ij->j", whitened, whitened))
+            points = np.linalg.solve(upper.T, points.T).T  # X R^-1
+            points *= math.sqrt(jitter)
+            proj[:] = 0.0
+            residual = jitter + np.einsum("ij,ij->i", points, points)
             residual[selected] = -np.inf
         j, _ = _lowest_near_max(residual)
         pivot = float(residual[j])
@@ -583,16 +585,11 @@ def select_dpp(embeddings, budget: int, kernel: KernelSpec, jitter: float = 1e-6
             row /= math.sqrt(pivot)
             factors[step] = row
             residual -= row * row
-        elif whitened is None:
+        else:
             x = points[j]
             c = (x - proj @ x) / math.sqrt(pivot)
             proj += np.outer(c, c)
             residual -= np.square(points @ c)
-        else:
-            z = whitened[:, j]
-            u = np.linalg.solve(gram, z)
-            residual -= jitter * np.square(u @ whitened) / (1.0 + z @ u)
-            gram += np.outer(z, z)
         selected.append(j)
         residual[j] = -np.inf
 
@@ -636,22 +633,21 @@ def _allocation_table(partition, allocation, result, task_conf=None) -> list[dic
 def run_strategy(pool: Pool, config: StrategyConfig, scores=None) -> SelectionResult:
     """Dispatch a named strategy over a pool.
 
-    The two allocation-first strategies compose partition -> (confidence
+    The allocation-first strategies compose partition -> (confidence
     when weighted) -> allocation -> round robin; ``scores`` may carry
-    precomputed per-example scores, used by the uncertainty and the
-    confidence-weighted strategies.
+    precomputed per-example scores, which only _SCORED_STRATEGIES read.
     """
     name = config.strategy
     if name not in STRATEGIES:
         raise ConfigError(f"unknown strategy {name!r}")
     _check_seed(config.seed)
     part = pool.partition
+    if name in _SCORED_STRATEGIES and scores is None:
+        scores = score_pool(pool)
 
     if name == "random":
         result = select_random(pool, config.budget, config.seed)
     elif name in UNCERTAINTY_CRITERIA:
-        if scores is None:
-            scores = score_pool(pool)
         result = select_uncertainty(pool, scores, name, config.budget)
     elif name in ("task_diversity", "weighted_task_diversity", "active_it"):
         task_conf = None if name == "task_diversity" else task_mean_confidence(pool, scores)

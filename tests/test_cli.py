@@ -244,6 +244,36 @@ class TestSelect:
         assert code == 1 and not out.exists() and not cache.exists()
         assert len(err) == 1 and err[0].startswith("error:")
 
+    def test_only_scored_strategies_use_the_scores_cache(self, tmp_path, capsys):
+        # record 'a' cannot be scored, which random never needs to do
+        rows = [{"id": "a", "task": "t", "token_probs": [[0.0, 0.0]]},
+                {"id": "b", "task": "t", "confidence": 0.5}]
+        pool = write_pool(tmp_path / "p.jsonl", rows)
+        cache, out = tmp_path / "scores.jsonl", tmp_path / "m.json"
+        base = ["select", "--pool", pool, "--budget", "1", "--output", str(out)]
+        assert main([*base, "--strategy", "random"]) == 0
+        expected = out.read_bytes()
+        assert main([*base, "--strategy", "random", "--scores-cache", str(cache)]) == 0
+        assert out.read_bytes() == expected and not cache.exists()
+        capsys.readouterr()
+        assert main([*base, "--strategy", "least_confidence", "--scores-cache", str(cache)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "realized-token probability 0" in err[0]
+
+    def test_kernel_flags_are_checked_only_for_geometric_strategies(self, tmp_path, capsys):
+        rows = [{"id": f"x{i}", "task": "t", "embedding": [float(i), 1.0]} for i in range(4)]
+        pool = write_pool(tmp_path / "p.jsonl", rows)
+        out = tmp_path / "m.json"
+        flags = ["select", "--pool", pool, "--budget", "2", "--kernel", "rbf", "--gamma", "-1",
+                 "--output", str(out)]
+        assert main([*flags, "--strategy", "random"]) == 0
+        out.unlink()
+        capsys.readouterr()
+        assert main([*flags, "--strategy", "dpp"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert not out.exists()
+        assert err == ["error: rbf kernel needs gamma > 0, got -1.0"]
+
     @pytest.mark.parametrize("strategy", ["facility_location", "dpp"])
     def test_huge_rbf_gamma_runs_without_warnings(self, tmp_path, strategy):
         rows = [{"id": f"x{i}", "task": "t", "embedding": point}
@@ -388,8 +418,8 @@ class TestSelect:
         pool = tmp_path / "p.jsonl"
         pool.write_text(json.dumps(row).replace('"HUGE"', huge) + "\n")
         out = tmp_path / "m.json"
-        code = main(["select", "--pool", str(pool), "--strategy", "random", "--budget", "1",
-                     "--scores-cache", str(cache), "--output", str(out)])
+        code = main(["select", "--pool", str(pool), "--strategy", "least_confidence",
+                     "--budget", "1", "--scores-cache", str(cache), "--output", str(out)])
         err = capsys.readouterr().err.strip().splitlines()
         assert code == 1 and not out.exists()
         if field == "log_confidence":

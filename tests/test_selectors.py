@@ -572,16 +572,38 @@ class TestDpp:
 
     @pytest.mark.parametrize("kind", ["euclidean", "cosine"])
     def test_every_pick_is_the_lowest_exact_near_max(self, kind):
-        pts = 100 * np.random.default_rng(1).standard_normal((300, 4)) + 300
+        # the jitter decides from step d on, so 56 and 184 picks follow the switch
         jitter = 1e-6
-        result = select_dpp(pts, 60, KernelSpec(kind), jitter=jitter)
-        if kind == "cosine":
-            pts = pts / np.sqrt((pts * pts).sum(axis=1))[:, None]
-        assert len(result.selected) == 60
-        for step, pick in enumerate(result.selected):
-            residuals = dpp_exact_residuals(pts, result.selected[:step], jitter)
-            top = residuals.max()
-            assert pick == int(np.argmax(residuals >= top - 1e-12 * abs(top))), step
+        for n, d, budget in ((300, 4, 60), (400, 16, 200)):
+            pts = 100 * np.random.default_rng(1).standard_normal((n, d)) + 300
+            result = select_dpp(pts, budget, KernelSpec(kind), jitter=jitter)
+            if kind == "cosine":
+                pts = pts / np.sqrt((pts * pts).sum(axis=1))[:, None]
+            assert len(result.selected) == budget
+            assert any(f"at step {d} " in w for w in result.warnings)
+            pivots = np.exp(np.diff(result.objective_trace))
+            for step, pick in enumerate(result.selected):
+                residuals = dpp_exact_residuals(pts, result.selected[:step], jitter)
+                top = residuals.max()
+                assert pick == int(np.argmax(residuals >= top - 1e-12 * abs(top))), (d, step)
+                if step >= d:  # past the switch; the worst measured is 2.3e-13
+                    assert pivots[step - 1] == pytest.approx(residuals[pick], rel=1e-12), (d, step)
+
+    def test_one_solve_per_switch(self, monkeypatch, rng):
+        # the switch re-bases the points with one triangular solve; later
+        # picks reuse the pre-switch update, and rbf never switches
+        calls = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append(1) or solve(*a))
+        pts = rng.normal(size=(30, 3))
+        for kind in ("euclidean", "cosine"):
+            calls.clear()
+            result = select_dpp(pts, 12, KernelSpec(kind))
+            assert any("at step 3 " in w for w in result.warnings)
+            assert len(calls) == 1, kind
+        calls.clear()
+        select_dpp(pts, 12, KernelSpec("rbf", 0.5))
+        assert calls == []
 
     @pytest.mark.parametrize("kind", ["euclidean", "cosine"])
     def test_linear_kernels_hold_no_budget_sized_factor(self, kind):
