@@ -112,15 +112,6 @@ def _int_overflow(where: str, values) -> ParseError:
     return ParseError(f"{where}: {_too_large(Decimal(big).adjusted() + 1)}")
 
 
-def _is_trace(trace) -> bool:
-    """A list or tuple of vectors (see ``_is_vector``)."""
-    return type(trace) in _SEQUENCES and (
-        _SEQUENCES.issuperset(map(type, trace))
-        and _NUMBERS.issuperset(map(type, chain.from_iterable(trace)))
-        or all(map(_is_vector, trace))
-    )
-
-
 class Pool:
     """Immutable, validated prompt pool stored as columns.
 
@@ -132,17 +123,21 @@ class Pool:
     """
 
     def __init__(self, records):
-        self._adopt((f"record {i}", vars(r)) for i, r in enumerate(records))
+        self._adopt((f"record {i}", vars(r), True) for i, r in enumerate(records))
 
     def _adopt(self, records, sidecar=None) -> None:
-        """Validate (where, fields) pairs and store them as columns, with
-        embeddings read from a ``sidecar`` file if given. ``fields`` is a dict
-        keyed like PromptRecord; a malformed one raises ParseError naming
-        ``where``, and each later check names the first failing record's id."""
+        """Validate (where, fields, typed) triples and store them as columns,
+        with embeddings read from a ``sidecar`` file if given. ``fields`` is a
+        dict keyed like PromptRecord; a malformed one raises ParseError naming
+        ``where``, and each later check names the first failing record's id.
+        ``typed`` asks for an exact type check of every trace entry. Without it
+        ``array.fromlist`` is the only check, and it lets bools through; a file
+        line can hold a bool only if its text holds ``true`` or ``false``, and
+        only such lines are typed."""
         widths, flat = array("q"), array("d")  # no Python object per entry
 
         def flatten():  # checks each record and moves its trace onto the flat arrays
-            for where, obj in records:
+            for where, obj, typed in records:
                 if not isinstance(obj, dict):
                     raise ParseError(f"{where}: record is not an object")
                 rec_id, task, confidence, trace, embedding = map(obj.get, _FIELDS)
@@ -166,11 +161,14 @@ class Pool:
                 if isinstance(confidence, int) and abs(confidence) > sys.float_info.max:
                     raise _int_overflow(where, (confidence,))
                 if trace is not None:
-                    if not _is_trace(trace):
-                        raise ParseError(f"{where}: 'token_probs' must be an array of arrays of numbers")
-                    widths.extend(map(len, trace))
-                    try:
-                        flat.extend(chain.from_iterable(trace))
+                    try:  # fromlist converts one position and raises TypeError on a non-number
+                        if type(trace) not in _SEQUENCES or typed and not all(map(_is_vector, trace)):
+                            raise TypeError
+                        for position in trace:
+                            flat.fromlist(list(position) if typed else position)
+                            widths.append(len(position))
+                    except TypeError:
+                        raise ParseError(f"{where}: 'token_probs' must be an array of arrays of numbers") from None
                     except OverflowError:
                         raise _int_overflow(where, chain.from_iterable(trace)) from None
                 yield rec_id, task, confidence, -1 if trace is None else len(trace), embedding
@@ -315,12 +313,13 @@ def _not_utf8(path, exc: UnicodeDecodeError) -> ParseError:
 
 
 def _json_lines(path):
-    """Yield (line number, parsed value) for each non-blank line of a JSON Lines file."""
+    """Yield (line number, parsed value, whether the line holds a bool literal)
+    for each non-blank line of a JSON Lines file."""
     with open(path, encoding="utf-8") as fh:
         try:
             for line_no, line in enumerate(fh, start=1):
                 if line.strip():
-                    yield line_no, _parse_json(line, f"{path}:{line_no}")
+                    yield line_no, _parse_json(line, f"{path}:{line_no}"), "true" in line or "false" in line
         except UnicodeDecodeError as exc:
             raise _not_utf8(path, exc) from exc
 
@@ -333,7 +332,8 @@ def load_pool(pool_path, embeddings_path=None) -> Pool:
     """
     pool = Pool.__new__(Pool)
     pool._adopt(
-        ((f"{pool_path}:{line_no}", obj) for line_no, obj in _json_lines(pool_path)), embeddings_path
+        ((f"{pool_path}:{line_no}", obj, typed) for line_no, obj, typed in _json_lines(pool_path)),
+        embeddings_path,
     )
     return pool
 

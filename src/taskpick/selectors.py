@@ -111,7 +111,7 @@ def _label_key(label: str) -> int:
     return int.from_bytes(hashlib.blake2b(label.encode("utf-8"), digest_size=8).digest(), "little")
 
 
-def _stream(seed: int, label: str) -> np.random.Generator:
+def _stream(seed: int, label: str) -> "np.random.Generator":
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, _label_key(label)))))
 
 

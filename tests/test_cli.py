@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import taskpick
 from taskpick.cli import main
 from taskpick.pool import write_embeddings
 
@@ -587,3 +590,13 @@ class TestReport:
         assert main(["report", str(bad)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # numpy imports numpy.random on first use, at 10 ms or more; a command
+    # that draws no random numbers should not pay for it at import
+    src = os.path.dirname(os.path.dirname(taskpick.__file__))
+    code = "import sys, taskpick.cli; print('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -396,6 +397,19 @@ def test_sidecar_header_checked_before_rows_are_read(tmp_path, monkeypatch):
         ({"confidence": 10**400}, "integer of 401 digits does not fit a float"),
         ({"token_probs": ((0.5, 10**400),)}, "integer of 401 digits does not fit a float"),
         ({"embedding": [1.0, -(10**400)]}, "integer of 401 digits does not fit a float"),
+        ({"token_probs": ((0.9, False),)}, "'token_probs' must be an array of arrays of numbers"),
+        ({"id": "true", "token_probs": ((0.9, 0.1), (0.9, True))},
+         "'token_probs' must be an array of arrays of numbers"),
+        ({"token_probs": ((0.9, 0.1), None)}, "'token_probs' must be an array of arrays of numbers"),
+        ({"token_probs": ({"p": 0.9},)}, "'token_probs' must be an array of arrays of numbers"),
+        ({"token_probs": ({},)}, "'token_probs' must be an array of arrays of numbers"),
+        ({"token_probs": ("",)}, "'token_probs' must be an array of arrays of numbers"),
+        ({"token_probs": (((0.9, 0.1),),)}, "'token_probs' must be an array of arrays of numbers"),
+        ({"token_probs": "0.9"}, "'token_probs' must be an array of arrays of numbers"),
+        ({"token_probs": ""}, "'token_probs' must be an array of arrays of numbers"),
+        ({"token_probs": {"p": [0.9, 0.1]}}, "'token_probs' must be an array of arrays of numbers"),
+        ({"token_probs": {}}, "'token_probs' must be an array of arrays of numbers"),
+        ({"token_probs": 0.9}, "'token_probs' must be an array of arrays of numbers"),
     ],
 )
 def test_library_and_file_pools_reject_the_same_records(tmp_path, fields, message):
@@ -411,6 +425,33 @@ def test_library_and_file_pools_reject_the_same_records(tmp_path, fields, messag
         load_pool(path)
     assert type(file.value) is type(library.value)
     assert str(file.value) == f"{path}:1: {message}"
+
+
+@pytest.mark.parametrize(
+    "trace",
+    [
+        ((10**400, 0.5), ("x", 0.1)),  # the type error comes first, as in a file
+        ((np.bool_(True), np.bool_(False)),),
+        (np.array([True, False]),),
+        (np.array([[0.9, 0.1]]),),
+    ],
+)
+def test_library_pool_rejects_traces_no_file_can_hold(trace):
+    with pytest.raises(ParseError) as error:
+        Pool([PromptRecord(id="a", task="t", token_probs=trace)])
+    assert str(error.value) == "record 0: 'token_probs' must be an array of arrays of numbers"
+
+
+def test_true_false_in_an_id_and_nan_in_a_trace_load_as_before(tmp_path):
+    path = tmp_path / "pool.jsonl"
+    path.write_text('{"id": "true-false", "task": "t", "token_probs": [[0.9, 0.1], [1, 0]]}\n')
+    pool = load_pool(str(path))
+    assert pool.ids() == ("true-false",)
+    assert pool.probs.tolist() == [0.9, 0.1, 1.0, 0.0]
+    path.write_text('{"id": "a", "task": "t", "token_probs": [[0.9, 0.1], [NaN, 0.1]]}\n')
+    with pytest.raises(ValidationError) as error:
+        load_pool(str(path))
+    assert str(error.value) == "record 'a': probability nan at position 1 is outside [0, 1]"
 
 
 def _numpy_records():
@@ -440,3 +481,40 @@ def test_saved_library_pool_reads_back_equal(tmp_path, sidecar):
         assert np.array_equal(getattr(again, name), getattr(pool, name), equal_nan=True)
     assert np.array_equal(again.embedding_matrix(), pool.embedding_matrix())
     assert pool.confidence[0] == float(np.float32(0.3))
+
+
+def _mixed_trace_rows():
+    """500 seeded records: traces of 1-8 positions, 2-6 entries wide, some
+    positions of integer entries, some records without a trace, and one id
+    that holds the text ``false``."""
+    rng = np.random.default_rng(1414)
+    rows = []
+    for i in range(500):
+        row = {"id": f"m{i:03d}", "task": f"t{i % 7}"}
+        if i % 10 == 9:
+            row["confidence"] = round(float(rng.uniform(0.05, 1.0)), 6)
+        else:
+            widths = rng.integers(2, 7, size=int(rng.integers(1, 9)))
+            row["token_probs"] = [sorted(rng.random(w).round(6).tolist(), reverse=True) for w in widths]
+            if i % 25 == 0:
+                row["token_probs"].append([1, 0])
+        rows.append(row)
+    rows[123]["id"] = "m123-false"
+    return rows
+
+
+# sha256 of each trace column's bytes, recorded before the trace loader
+# converted one position at a time
+PINNED_TRACE_COLUMNS = {
+    "probs": "9e26a8dc95610021",
+    "candidate_offsets": "e2f7ee8c2028d493",
+    "position_offsets": "ed02669a626ced5d",
+}
+
+
+def test_trace_columns_are_pinned_for_file_and_library_pools(tmp_path):
+    pool = load_pool(write_lines(tmp_path / "pool.jsonl", _mixed_trace_rows()))
+    for built in (pool, Pool(pool.records)):
+        digests = {name: hashlib.sha256(getattr(built, name).tobytes()).hexdigest()[:16]
+                   for name in PINNED_TRACE_COLUMNS}
+        assert digests == PINNED_TRACE_COLUMNS
