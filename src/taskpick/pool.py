@@ -85,7 +85,8 @@ def _partition(task_labels) -> TaskPartition:
     order = np.argsort(codes, kind="stable")
     for column in (codes, counts, order):
         column.flags.writeable = False
-    return TaskPartition(tuple(tasks), codes, counts, tuple(np.split(order, np.cumsum(counts)[:-1])))
+    ends = np.cumsum(counts).tolist()
+    return TaskPartition(tuple(tasks), codes, counts, tuple(order[a:b] for a, b in zip([0, *ends], ends)))
 
 
 def _offsets(lengths) -> np.ndarray:

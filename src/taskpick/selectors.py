@@ -214,6 +214,8 @@ def select_uncertainty(pool: Pool, scores: Scores, criterion: str, budget: int) 
     )
 
 
+# Tiles and columns are within (d + 2) eps (|x|^2 + |y|^2) of the textbook
+# |x - y|^2 (or x.y): the worst-case rounding of a length-d dot product.
 class _ColumnKernel:
     """Evaluates kernel blocks on demand, one tile of at most _TILE_FLOATS
     entries at a time.

@@ -428,6 +428,57 @@ class TestFacilityLocationTiles:
         assert dense.tobytes() == expected.tobytes()
         assert kern.column(7).tobytes() == plain(pts @ pts[7], sq + sq[7]).tobytes()
 
+    @staticmethod
+    def kernel_tiles(rng, kind, d):
+        """A kernel on 300 points in d dimensions, half of them within 1e-6
+        of the other half, 200 shuffled columns, and the tiles' K[:, cols]."""
+        x = rng.standard_normal((300, d)) * np.sqrt(10.0 / d)
+        x[150:] = x[:150] + 1e-6 * rng.standard_normal((150, d))
+        kern = selectors._ColumnKernel(x, KernelSpec(kind, 0.3 if kind == "rbf" else None))
+        cols = rng.permutation(300)[:200]
+        dense = np.empty((300, 200))
+        for rs, cs, tile in kern.tiles(None, cols):
+            dense[rs, cs] = tile
+        return kern, cols, dense
+
+    @staticmethod
+    def within_kernel_tolerance(kind, d, values, exact, norm_sums):
+        """Whether kernel values are within (d + 2) eps (|a|^2 + |b|^2) of
+        -|a - b|^2 (euclidean) or a.b (cosine); rbf's exp(-0.3 |a - b|^2)
+        moves by at most 0.3 times that, plus its own rounding."""
+        error = np.abs(values - exact)
+        bound = (d + 2) * np.finfo(float).eps * norm_sums
+        if kind == "rbf":
+            bound = 0.3 * bound + 4 * np.finfo(float).eps * exact
+        return bool(np.all(error <= bound))
+
+    @pytest.mark.parametrize("d", [16, 64, 1024])
+    @pytest.mark.parametrize("kind", ["rbf", "euclidean", "cosine"])
+    def test_tiles_are_within_the_tolerance_of_the_textbook_distance(self, rng, kind, d, monkeypatch):
+        monkeypatch.setattr(selectors, "_TILE_FLOATS", 1 << 12)
+        kern, cols, dense = self.kernel_tiles(rng, kind, d)
+        # the textbook forms, in extended precision where the platform has
+        # it, one row at a time to keep the d-wide differences small
+        pts = kern.points.astype(np.longdouble)
+        if kind == "cosine":
+            exact = pts @ pts[cols].T
+        else:
+            dist = np.array([((p - pts[cols]) ** 2).sum(axis=1) for p in pts])
+            exact = -dist if kind == "euclidean" else np.exp(-0.3 * dist)
+        norm_sums = np.add.outer(kern.sq_norms, kern.sq_norms[cols])
+        assert self.within_kernel_tolerance(kind, d, dense, exact, norm_sums)
+
+    @pytest.mark.parametrize("d", [16, 64, 1024])
+    @pytest.mark.parametrize("kind", ["rbf", "euclidean", "cosine"])
+    def test_columns_agree_with_the_tiles_within_the_tolerance(self, rng, kind, d, monkeypatch):
+        # a column is a matrix-vector product and a tile a matrix product,
+        # which may round differently
+        monkeypatch.setattr(selectors, "_TILE_FLOATS", 1 << 12)
+        kern, cols, dense = self.kernel_tiles(rng, kind, d)
+        for c in range(0, 200, 7):
+            norm_sums = kern.sq_norms + kern.sq_norms[cols[c]]
+            assert self.within_kernel_tolerance(kind, d, kern.column(cols[c]), dense[:, c], norm_sums)
+
     def test_capture_loss_is_the_clip_form_to_the_bit(self, rng):
         # FL's capture update takes min(max(K - old, 0), new - old) for
         # clip(K, old, new) - old; every float must come out the same
