@@ -81,16 +81,9 @@ def cmd_select(args) -> int:
         _atomic_write(cache, render_scores(pool, scores))
 
     manifest = manifest_payload(result, pool)
-    manifest["inputs"] = {
-        "pool": args.pool,
-        "embeddings": args.embeddings,
-        "scores_cache": cache,
-    }
+    manifest["inputs"] = {"pool": args.pool, "embeddings": args.embeddings, "scores_cache": cache}
     _atomic_write(args.output, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    print(
-        f"{result.strategy}: selected {len(result.selected)} of {len(pool)}"
-        f" -> {args.output}"
-    )
+    print(f"{result.strategy}: selected {len(result.selected)} of {len(pool)} -> {args.output}")
     for note in result.warnings:
         print(f"warning: {note}", file=sys.stderr)
     return 0

@@ -29,9 +29,9 @@ from .pool import Pool, TaskPartition
 from .scoring import Scores, score_pool, task_mean_confidence
 
 # Largest kernel tile: 2^16 floats (256 x 256, 512 KB). _ColumnKernel writes
-# every tile into two scratch arrays of this size, the Gram block and the
-# |a|^2 + |b|^2 block, which fit in a 2 MB L2 cache together; no tile
-# allocates, and a tile is valid only until the next tile is made.
+# every tile into one scratch array of this size, which fits in a 2 MB L2
+# cache beside the tile's operands; no tile allocates, and a tile is valid
+# only until the next tile is made.
 _TILE_FLOATS = 1 << 16
 # Gains within this relative distance of the best count as tied; a greedy
 # pick is the lowest index among them, so float noise cannot decide it.
@@ -214,95 +214,101 @@ def select_uncertainty(pool: Pool, scores: Scores, criterion: str, budget: int) 
     )
 
 
+def _check_memory(need: int, what: str) -> None:
+    """Raise ConfigError, naming ``what``, unless ``need`` bytes fit in physical memory."""
+    if need > (have := os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")):
+        raise ConfigError(f"{what} ({need} bytes); physical memory is {have} bytes")
+
+
 # Tiles and columns are within (d + 2) eps (|x|^2 + |y|^2) of the textbook
-# |x - y|^2 (or x.y): the worst-case rounding of a length-d dot product.
+# |x - y|^2 (or x.y): the worst-case rounding of a length-(d + 2) dot product.
 class _ColumnKernel:
     """Evaluates kernel blocks on demand, one tile of at most _TILE_FLOATS
     entries at a time.
 
     The full N x N kernel never exists in memory, which is what makes the
-    greedy selectors usable on pools of ~100K examples. This is the one
-    place that widens the points to float64 and forms squared norms,
-    squared distances and the cosine normalisation. ``entries`` counts the
-    kernel values computed so far. A tile lives in the kernel's scratch
-    arrays, while ``column()`` returns an array of its own. The -2 of the
-    squared distance is folded into the right operand, once per column
-    block; -2 is a power of two, so that is exact barring subnormal products.
+    greedy selectors usable on pools of ~100K examples. Each point is one
+    row [x, |x|^2, 1] of the N x (d + 2) float64 ``rows``, the one place
+    that widens points, squares them and normalises them for cosine, in
+    place; ``points`` and ``sq_norms`` are views of it. A row times
+    right(y) = [2y, -1, -|y|^2] is -|x - y|^2, and times [y, 0, 0] (cosine)
+    x.y, so every kernel value is one product. A tile lives in the one
+    scratch tile; ``column()`` returns its own array. ``entries`` counts
+    the kernel values computed so far.
     """
 
     def __init__(self, embeddings, spec: KernelSpec):
-        embeddings = np.asarray(embeddings, dtype=np.float64)
-        self.spec = spec
-        self.n = embeddings.shape[0]
-        self.points = embeddings
-        with np.errstate(over="ignore"):
-            self.sq_norms = (embeddings * embeddings).sum(axis=1)
+        n, d = np.shape(embeddings)
+        _check_memory(n * (d + 2) * 8, f"the kernel needs {n} x {d + 2} float64 rows")
+        self.spec, self.n, self.entries = spec, n, 0
+        self.rows = np.ones((n, d + 2))
+        self.points, self.sq_norms = self.rows[:, :d], self.rows[:, d]
+        self.points[:] = embeddings  # float32 widens here, with no float64 copy beside it
+        self._square_norms()
         # bounds every squared distance, column sum and k-center total
-        if not math.isfinite(4.0 * self.n * self.sq_norms.max(initial=0.0)):
+        if not math.isfinite(4.0 * n * self.sq_norms.max(initial=0.0)):
             raise ValidationError(
                 "embeddings are too large: 4 x N x their largest squared norm"
                 " overflows float64; rescale them"
             )
         if spec.kind == "cosine":
-            self.points = embeddings / np.maximum(np.sqrt(self.sq_norms), 1e-30)[:, None]
-            self.sq_norms = (self.points * self.points).sum(axis=1)
-        self.entries = 0
-        self._gram, self._sums = np.empty((2, _TILE_FLOATS))
-        # rows [|x|^2, 1, |x|^2]: [|a|^2, 1] times [1, |b|^2]^T rounds once,
-        # so it is |a|^2 + |b|^2 to the bit, and a matrix product forms a
-        # block of those sums several times faster than a broadcast add
-        self._norms = np.column_stack([self.sq_norms, np.ones(self.n), self.sq_norms])
+            self.points /= np.maximum(np.sqrt(self.sq_norms), 1e-30)[:, None]
+            self._square_norms()
+        # right() scales a row [y, |y|^2, 1] by these, then swaps its last two
+        self._weights = np.repeat([1.0, 0.0] if spec.kind == "cosine" else [2.0, -1.0], [d, 2])
+        self._tile = np.empty(_TILE_FLOATS)
+
+    def _square_norms(self) -> None:
+        """sq_norms as (x * x).sum(axis=1), in row blocks, with no N x d temporary."""
+        step = _TILE_FLOATS // max(1, self.points.shape[1])
+        with np.errstate(over="ignore"):
+            for r in range(0, self.n, step):
+                self.sq_norms[r : r + step] = np.square(self.points[r : r + step]).sum(axis=1)
 
     def right(self, cols) -> np.ndarray:
-        """points[cols]^T, times -2 unless cosine: the right operand of K[:, cols]."""
-        return (self.points[cols] * (1.0 if self.spec.kind == "cosine" else -2.0)).T
+        """The right operand of K[:, cols], one column right(y) per point y in ``cols``."""
+        right = self.rows[cols] * self._weights
+        right[..., [-2, -1]] = right[..., [-1, -2]]
+        return right.T
 
-    def _similarity(self, gram: np.ndarray, norm_sums) -> np.ndarray:
-        """Kernel values, in place, from the Gram block with right(cols);
-        ``norm_sums()`` gives |a|^2 + |b|^2, called for the distance kernels."""
-        self.entries += gram.size
-        if self.spec.kind == "cosine":
-            return gram
-        # squared distance (|a|^2 + |b|^2) - 2 a.b, clamped at 0; the
-        # euclidean similarity is its negation, rbf exp(-gamma * it)
-        gram += norm_sums()
-        np.maximum(gram, 0.0, out=gram)
-        with np.errstate(over="ignore"):  # a huge gamma gives -inf, and exp(-inf) = 0 is exact
-            gram *= -1.0 if self.spec.kind == "euclidean" else -self.spec.gamma
+    def _finish(self, t: np.ndarray) -> np.ndarray:
+        """Kernel values, in place, from products with right(); rbf is exp(gamma * euclidean)."""
+        self.entries += t.size
+        if self.spec.kind != "cosine":
+            np.minimum(t, 0.0, out=t)
         if self.spec.kind == "rbf":
-            np.exp(gram, out=gram)
-        return gram
+            with np.errstate(over="ignore"):  # a huge gamma gives -inf, and exp(-inf) = 0 is exact
+                t *= self.spec.gamma
+            np.exp(t, out=t)
+        return t
 
-    def cross(self, rows, cols, right: np.ndarray) -> np.ndarray:
-        """Similarity tile K[rows, cols] in the scratch arrays; ``right`` is right(cols)."""
-        left = self.points[rows]
+    def cross(self, rows, right: np.ndarray) -> np.ndarray:
+        """Similarity tile K[rows, cols] in the scratch tile; ``right`` is right(cols)."""
+        left = self.rows[rows]
         size = left.shape[0] * right.shape[1]
-        gram = np.matmul(left, right, out=self._gram[:size].reshape(left.shape[0], -1))
-        sums = self._sums[:size].reshape(gram.shape)
-        return self._similarity(
-            gram, lambda: np.matmul(self._norms[rows, :2], self._norms[cols, 1:].T, out=sums)
-        )
+        return self._finish(np.matmul(left, right, out=self._tile[:size].reshape(left.shape[0], -1)))
 
     def column(self, j: int) -> np.ndarray:
         """Similarity column K[:, j], as one matrix-vector product."""
-        return self._similarity(self.points @ self.right(j), lambda: self.sq_norms + self.sq_norms[j])
+        return self._finish(self.rows @ self.right(j))
 
     def tiles(self, rows, cols):
         """Yield (row span, column span, tile) covering K[rows, cols].
 
-        ``rows`` and ``cols`` are index arrays, or None for every point;
-        the spans are slices into them. Each tile is at most _TILE_FLOATS.
+        ``rows`` and ``cols`` are index arrays, or None for every point; the
+        spans are slices into them. Each tile is at most _TILE_FLOATS, and
+        at most _TILE_FLOATS // 64 rows high and columns wide, so neither
+        operand gathers more points than that.
         """
         n_rows, n_cols = (self.n if idx is None else len(idx) for idx in (rows, cols))
-        width = max(1, min(n_cols, _TILE_FLOATS))
-        height = max(1, _TILE_FLOATS // width)
+        width = max(1, min(n_cols, _TILE_FLOATS // 64))
+        height = min(_TILE_FLOATS // 64, _TILE_FLOATS // width)
         for c in range(0, n_cols, width):
             cs = slice(c, c + width)
-            col_idx = cs if cols is None else cols[cs]
-            right = self.right(col_idx)
+            right = self.right(cs if cols is None else cols[cs])
             for r in range(0, n_rows, height):
                 rs = slice(r, r + height)
-                yield rs, cs, self.cross(rs if rows is None else rows[rs], col_idx, right)
+                yield rs, cs, self.cross(rs if rows is None else rows[rs], right)
 
 
 def select_k_center(embeddings, budget: int, kernel: KernelSpec | None = None) -> SelectionResult:
@@ -326,7 +332,7 @@ def select_k_center(embeddings, budget: int, kernel: KernelSpec | None = None) -
     first, _ = _lowest_near_max(-totals)
 
     def dist_to(j: int) -> np.ndarray:
-        return np.sqrt(-kern.column(j))
+        return np.sqrt(0.0 - kern.column(j))  # not -K: a zero distance is +0.0
 
     selected = [first]
     min_dist = dist_to(first)
@@ -374,9 +380,9 @@ def select_facility_location(embeddings, budget: int, kernel: KernelSpec) -> Sel
     index among them.
 
     The kernel is only ever built in tiles of at most _TILE_FLOATS
-    entries, so memory is O(N*d) plus two tile buffers. The column sums come
-    from the tiles K[A, B] with B >= A, each computed once and summed
-    along both axes, since K is symmetric.
+    entries, so memory is the kernel's N x (d + 2) rows plus one tile
+    buffer. The column sums come from the tiles K[A, B] with B >= A, each
+    computed once and summed along both axes, since K is symmetric.
 
     Laziness is Minoux's, and exact: ``gain`` holds one value per
     candidate, and the mask ``front`` marks the candidates whose value is
@@ -406,7 +412,7 @@ def select_facility_location(embeddings, budget: int, kernel: KernelSpec) -> Sel
     for b in range(0, n, side):
         right = cols.right(slice(b, b + side))
         for a in range(0, b + 1, side):
-            tile = cols.cross(slice(a, a + side), slice(b, b + side), right)
+            tile = cols.cross(slice(a, a + side), right)
             col_sums[b : b + side] += tile.sum(axis=0)
             if b != a:
                 col_sums[a : a + side] += tile.sum(axis=1)
@@ -519,9 +525,10 @@ def select_dpp(embeddings, budget: int, kernel: KernelSpec, jitter: float = 1e-6
     _JITTER_MARGIN x jitter, so they no longer cancel.
 
     The rbf kernel has no finite feature map, so it keeps the k x N
-    factor; its k*N*8 bytes are checked against physical memory before
-    anything is allocated. If every rbf residual collapses to zero the
-    result is returned partial, flagged with a warning.
+    factor; its k*N*8 bytes, with the kernel's N*(d+2)*8, are checked
+    against physical memory before the factor is allocated. If every rbf
+    residual collapses to zero the result is returned partial, flagged
+    with a warning.
     """
     _check_budget(budget)
     if not (jitter > 0 and math.isfinite(jitter)):
@@ -534,13 +541,8 @@ def select_dpp(embeddings, budget: int, kernel: KernelSpec, jitter: float = 1e-6
     rbf = kernel.kind == "rbf"
 
     if rbf:
-        need = k * n * 8
-        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        if need > have:
-            raise ConfigError(
-                f"dpp with the rbf kernel needs a {k} x {n} float64 factor ({need} bytes);"
-                f" physical memory is {have} bytes"
-            )
+        what = f"dpp with the rbf kernel needs a {k} x {n} float64 factor and the kernel's rows"
+        _check_memory(kern.rows.nbytes + k * n * 8, what)
         factors = np.zeros((k, n))
         residual = np.full(n, 1.0 + jitter)
     else:

@@ -330,6 +330,21 @@ def test_dpp_is_pinned_at_desk_scale(kind, desk_scale_inputs, desk_scale_pool):
     assert "at step 64 is below 1000 x jitter" in result.warnings[0]
 
 
+# k-center at budget 1K on criterion 7's float32 sidecar, as the CLI reads it:
+# the digest of the selected ids and the last covering radius
+PINNED_DESK_K_CENTER = ("976f8dac6da1fd8e", 73.8374403362926)
+
+
+def test_k_center_is_pinned_at_desk_scale(desk_scale_inputs, desk_scale_pool):
+    result = select_k_center(read_embeddings(desk_scale_inputs[1]), 1_000)
+    ids = desk_scale_pool.ids()
+    digest, radius = PINNED_DESK_K_CENTER
+    assert len(result.selected) == 1_000
+    assert _digest(",".join(ids[i] for i in result.selected)) == digest
+    assert result.objective_trace[-1] == pytest.approx(radius, rel=1e-12)
+    assert result.warnings == []
+
+
 def test_criterion_8_low_confidence_tasks_dominate():
     started = time.perf_counter()
     rng = np.random.default_rng(808)

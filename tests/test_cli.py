@@ -484,6 +484,28 @@ class TestSelect:
         if strategy != "k_center" or kernel == "euclidean":
             assert "overflow" in err[0]
 
+    @pytest.mark.parametrize("strategy, kernel, memory, message", [
+        ("k_center", "euclidean", 47, "the kernel needs 2 x 3 float64 rows (48 bytes)"),
+        ("facility_location", "rbf", 47, "the kernel needs 2 x 3 float64 rows (48 bytes)"),
+        ("dpp", "rbf", 79, "dpp with the rbf kernel needs a 2 x 2 float64 factor"
+                           " and the kernel's rows (80 bytes)"),
+    ])
+    def test_memory_beyond_physical_exits_with_one_error_line(
+        self, tmp_path, capsys, monkeypatch, strategy, kernel, memory, message
+    ):
+        rows = [{"id": "x", "task": "t", "embedding": [1.0]},
+                {"id": "y", "task": "t", "embedding": [0.0]}]
+        pool = write_pool(tmp_path / "p.jsonl", rows)
+        out = tmp_path / "m.json"
+        sysconf = os.sysconf
+        sizes = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}
+        monkeypatch.setattr(os, "sysconf", lambda name: sizes.get(name) or sysconf(name))
+        code = main(["select", "--pool", pool, "--strategy", strategy, "--kernel", kernel,
+                     "--budget", "2", "--output", str(out)])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 1 and not out.exists()
+        assert err == [f"error: {message}; physical memory is {memory} bytes"]
+
     def test_strategy_error_exits_nonzero(self, tmp_path):
         pool = write_pool(tmp_path / "p.jsonl", [{"id": "x", "task": "t"}])
         out = tmp_path / "m.json"

@@ -183,6 +183,30 @@ def test_selection_is_pinned(name, prefixes):
     assert result.objective_trace[-1] == pytest.approx(objective, rel=1e-12)
 
 
+# the greedy selectors and kernels whose budget sweeps PREFIX_BUDGETS check
+GREEDY = {
+    "fl-rbf": (select_facility_location, RBF),
+    "fl-cosine": (select_facility_location, KernelSpec("cosine")),
+    "k-center": (select_k_center, None),
+    "dpp-euclidean": (select_dpp, KernelSpec("euclidean")),
+    "dpp-rbf": (select_dpp, RBF),
+}
+PREFIX_ROWS, PREFIX_BUDGETS = 3_000, (150, 600)
+
+
+@pytest.mark.parametrize("name", GREEDY)
+def test_greedy_budgets_are_prefixes(name, prefixes):
+    # a greedy run never looks at its budget before it stops, so the run at
+    # a smaller budget is the first picks and trace values of a larger one
+    select, kernel = GREEDY[name]
+    small, large = PREFIX_BUDGETS
+    short, full = (select(prefixes(801)[:PREFIX_ROWS], budget, kernel) for budget in PREFIX_BUDGETS)
+    assert len(full.selected) == large
+    assert short.selected == full.selected[:small]
+    assert [x.hex() for x in short.objective_trace] == [x.hex() for x in full.objective_trace[:small]]
+    assert short.warnings == full.warnings
+
+
 @pytest.mark.parametrize("strategy", PINNED_TOKEN)
 def test_token_pool_selection_is_pinned(strategy, token_pool):
     result = run_strategy(token_pool, StrategyConfig(strategy, budget=TOKEN_BUDGET))

@@ -378,10 +378,13 @@ class TestFacilityLocationTiles:
         specs = (KernelSpec("rbf", 0.05), KernelSpec("euclidean"), KernelSpec("cosine"))
         references = [select_facility_location(pts, 60, spec) for spec in specs]
         cross = selectors._ColumnKernel.cross
+        shapes = set()
 
-        def checked_cross(self, rows, cols, right):
-            block = cross(self, rows, cols, right)
+        def checked_cross(self, rows, right):
+            block = cross(self, rows, right)
             assert block.size <= selectors._TILE_FLOATS
+            assert max(block.shape) <= selectors._TILE_FLOATS // 64
+            shapes.add(block.shape)
             return block
 
         monkeypatch.setattr(selectors._ColumnKernel, "cross", checked_cross)
@@ -393,6 +396,13 @@ class TestFacilityLocationTiles:
                 assert [x.hex() for x in result.objective_trace] == [
                     x.hex() for x in reference.objective_trace
                 ], (spec.kind, tile_floats)
+        # at the default cap, a one-column pass gathers at most 1,024 rows
+        # and a wide pass at most 1,024 columns
+        kern = selectors._ColumnKernel(rng.standard_normal((2_500, 3)), KernelSpec("euclidean"))
+        shapes.clear()
+        for rows, cols in ((np.arange(2_500), np.array([5])), (np.array([5]), np.arange(2_500))):
+            list(kern.tiles(rows, cols))
+        assert shapes == {(1_024, 1), (452, 1), (1, 1_024), (1, 452)}
 
     @pytest.mark.parametrize("kind", ["rbf", "euclidean", "cosine"])
     def test_tiles_do_not_overwrite_earlier_columns(self, rng, kind):
@@ -406,27 +416,31 @@ class TestFacilityLocationTiles:
         assert column.tobytes() == kern.column(7).tobytes()
 
     @pytest.mark.parametrize("kind", ["rbf", "euclidean", "cosine"])
-    def test_tiles_are_the_distance_formula_to_the_bit(self, rng, kind, monkeypatch):
-        # the -2 folded into the right operand and the |a|^2 + |b|^2 block
-        # formed as a matrix product must give the floats of the plain formula
+    def test_tiles_are_the_product_form_to_the_bit(self, rng, kind, monkeypatch):
+        # every tile and column is the rows [x, |x|^2, 1] times [2y, -1, -|y|^2]
+        # (or [y, 0, 0]), then min(t, 0), and gamma and exp for rbf, to the bit
         monkeypatch.setattr(selectors, "_TILE_FLOATS", 1 << 12)
         spec = KernelSpec(kind, 0.3 if kind == "rbf" else None)
         kern = selectors._ColumnKernel(3.0 * rng.standard_normal((300, 16)), spec)
         pts, sq = kern.points, kern.sq_norms
         cols = rng.permutation(300)[:200]
+        rows = np.column_stack([pts, sq, np.ones(300)])
+        assert kern.rows.tobytes() == rows.tobytes()
+        if kind == "cosine":
+            right = np.column_stack([pts, np.zeros((300, 2))]).T
+        else:
+            right = np.column_stack([2.0 * pts, -np.ones(300), -sq]).T
 
-        def plain(gram, norm_sums):
-            if kind == "cosine":
-                return gram
-            dist = np.maximum(gram * -2.0 + norm_sums, 0.0)
-            return -dist if kind == "euclidean" else np.exp(dist * -0.3)
+        def plain(t):
+            if kind != "cosine":
+                t = np.minimum(t, 0.0)
+            return np.exp(t * 0.3) if kind == "rbf" else t
 
         dense = np.empty((300, 200))
         for rs, cs, tile in kern.tiles(None, cols):
             dense[rs, cs] = tile
-        expected = plain(pts @ pts[cols].T, np.add.outer(sq, sq[cols]))
-        assert dense.tobytes() == expected.tobytes()
-        assert kern.column(7).tobytes() == plain(pts @ pts[7], sq + sq[7]).tobytes()
+        assert dense.tobytes() == plain(rows @ right[:, cols]).tobytes()
+        assert kern.column(7).tobytes() == plain(rows @ right[:, 7]).tobytes()
 
     @staticmethod
     def kernel_tiles(rng, kind, d):
@@ -565,6 +579,65 @@ def test_selections_do_not_depend_on_blas_threads():
     assert picks[0] == picks[1]
 
 
+_MEMORY_SCRIPT = """
+import resource, sys
+import numpy as np
+from taskpick.selectors import KernelSpec, _ColumnKernel
+n = int(sys.argv[1])
+pts = np.random.default_rng(5).standard_normal((n, 64), dtype=np.float32)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+kern = _ColumnKernel(pts, KernelSpec("rbf", 0.002))
+for _ in kern.tiles(np.arange(n), np.array([7])):
+    pass
+kern.column(7)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024)
+"""
+
+
+class TestKernelMemory:
+    @staticmethod
+    def physical_memory(monkeypatch, nbytes):
+        sysconf = os.sysconf
+        sizes = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": nbytes}
+        monkeypatch.setattr(selectors.os, "sysconf", lambda name: sizes.get(name) or sysconf(name))
+
+    def test_kernel_rows_are_checked_before_they_are_allocated(self, monkeypatch):
+        # 1,000 rows [x, |x|^2, 1] of 4 + 2 float64 are 48,000 bytes
+        pts = np.ones((1_000, 4), dtype=np.float32)
+        self.physical_memory(monkeypatch, 48_000)
+        assert selectors._ColumnKernel(pts, KernelSpec("euclidean")).rows.nbytes == 48_000
+        self.physical_memory(monkeypatch, 47_999)
+        message = r"^the kernel needs 1000 x 6 float64 rows \(48000 bytes\); physical memory is 47999 bytes$"
+        for select, kernel in ((select_k_center, None), (select_facility_location, KernelSpec("rbf")),
+                               (select_dpp, KernelSpec("cosine"))):
+            with pytest.raises(ConfigError, match=message):
+                select(pts, 10, kernel)
+
+    def test_dpp_rbf_factor_is_checked_with_the_kernel_rows(self, monkeypatch, rng):
+        # 48,000 bytes of kernel rows plus a 10 x 1,000 factor of 80,000 bytes
+        pts = rng.standard_normal((1_000, 4))
+        self.physical_memory(monkeypatch, 128_000)
+        assert len(select_dpp(pts, 10, KernelSpec("rbf", 0.5)).selected) == 10
+        self.physical_memory(monkeypatch, 127_999)
+        with pytest.raises(ConfigError, match=(
+            r"^dpp with the rbf kernel needs a 10 x 1000 float64 factor and the kernel's rows"
+            r" \(128000 bytes\); physical memory is 127999 bytes$"
+        )):
+            select_dpp(pts, 10, KernelSpec("rbf", 0.5))
+        assert len(select_dpp(pts, 10, KernelSpec("euclidean")).selected) == 10
+
+    @pytest.mark.parametrize("n", [30_000, 60_000])
+    def test_peak_is_the_rows_plus_a_tile(self, n):
+        # float32 points, then a one-column pass over every row as an index
+        # array, and one column: the peak may rise by the N x 66 float64 rows
+        # plus 8 MiB, so by no float64 copy, N x d temporary or N-row gather
+        src = os.path.dirname(os.path.dirname(selectors.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        out = subprocess.run([sys.executable, "-c", _MEMORY_SCRIPT, str(n)], env=env, check=True,
+                             capture_output=True, text=True, timeout=300)
+        assert int(out.stdout) <= n * 66 * 8 + (8 << 20)
+
+
 class TestDpp:
     def test_orthonormal_tie_break(self):
         result = select_dpp(np.eye(3), 2, KernelSpec("euclidean"))
@@ -670,11 +743,11 @@ class TestDpp:
         assert peak < 4 << 20
 
     def test_rbf_factor_is_checked_against_physical_memory(self):
-        # a 200K x 200K float64 factor is 320 GB
+        # a 200K x 200K float64 factor is 320 GB, beside 4.8 MB of kernel rows
         pts = np.zeros((200_000, 1))
         tracemalloc.start()
         try:
-            with pytest.raises(ConfigError, match="320000000000 bytes"):
+            with pytest.raises(ConfigError, match="320004800000 bytes"):
                 select_dpp(pts, 200_000, KernelSpec("rbf", 0.5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
