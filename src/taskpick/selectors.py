@@ -223,18 +223,17 @@ def _check_memory(need: int, what: str) -> None:
 # Tiles and columns are within (d + 2) eps (|x|^2 + |y|^2) of the textbook
 # |x - y|^2 (or x.y): the worst-case rounding of a length-(d + 2) dot product.
 class _ColumnKernel:
-    """Evaluates kernel blocks on demand, one tile of at most _TILE_FLOATS
-    entries at a time.
+    """The kernel K on demand, in 8 N (d + 2) bytes of rows and a 512 KB
+    tile, never N x N, so that the greedy selectors run on ~100K points.
 
-    The full N x N kernel never exists in memory, which is what makes the
-    greedy selectors usable on pools of ~100K examples. Each point is one
-    row [x, |x|^2, 1] of the N x (d + 2) float64 ``rows``, the one place
-    that widens points, squares them and normalises them for cosine, in
-    place; ``points`` and ``sq_norms`` are views of it. A row times
-    right(y) = [2y, -1, -|y|^2] is -|x - y|^2, and times [y, 0, 0] (cosine)
-    x.y, so every kernel value is one product. A tile lives in the one
-    scratch tile; ``column()`` returns its own array. ``entries`` counts
-    the kernel values computed so far.
+    Each point is one row [x, |x|^2, 1] of the N x (d + 2) float64 ``rows``,
+    the one place that widens points, squares them and normalises them for
+    cosine, in place; ``points`` and ``sq_norms`` are views of it. A row
+    times _right(y) = [2y, -1, -|y|^2] is -|x - y|^2, and times [y, 0, 0]
+    (cosine) x.y, so every kernel value is one product. ``column``,
+    ``column_sums`` and ``clipped_sums`` return arrays of their own; the
+    last two walk K one scratch tile of at most _TILE_FLOATS at a time.
+    ``entries`` counts the kernel values computed so far.
     """
 
     def __init__(self, embeddings, spec: KernelSpec):
@@ -254,7 +253,7 @@ class _ColumnKernel:
         if spec.kind == "cosine":
             self.points /= np.maximum(np.sqrt(self.sq_norms), 1e-30)[:, None]
             self._square_norms()
-        # right() scales a row [y, |y|^2, 1] by these, then swaps its last two
+        # _right() scales a row [y, |y|^2, 1] by these, then swaps its last two
         self._weights = np.repeat([1.0, 0.0] if spec.kind == "cosine" else [2.0, -1.0], [d, 2])
         self._tile = np.empty(_TILE_FLOATS)
 
@@ -265,14 +264,14 @@ class _ColumnKernel:
             for r in range(0, self.n, step):
                 self.sq_norms[r : r + step] = np.square(self.points[r : r + step]).sum(axis=1)
 
-    def right(self, cols) -> np.ndarray:
+    def _right(self, cols) -> np.ndarray:
         """The right operand of K[:, cols], one column right(y) per point y in ``cols``."""
         right = self.rows[cols] * self._weights
         right[..., [-2, -1]] = right[..., [-1, -2]]
         return right.T
 
     def _finish(self, t: np.ndarray) -> np.ndarray:
-        """Kernel values, in place, from products with right(); rbf is exp(gamma * euclidean)."""
+        """Kernel values, in place, from products with _right(); rbf is exp(gamma * euclidean)."""
         self.entries += t.size
         if self.spec.kind != "cosine":
             np.minimum(t, 0.0, out=t)
@@ -282,33 +281,52 @@ class _ColumnKernel:
             np.exp(t, out=t)
         return t
 
-    def cross(self, rows, right: np.ndarray) -> np.ndarray:
-        """Similarity tile K[rows, cols] in the scratch tile; ``right`` is right(cols)."""
+    def _cross(self, rows, right: np.ndarray) -> np.ndarray:
+        """Similarity tile K[rows, cols] in the scratch tile; ``right`` is _right(cols)."""
         left = self.rows[rows]
         size = left.shape[0] * right.shape[1]
         return self._finish(np.matmul(left, right, out=self._tile[:size].reshape(left.shape[0], -1)))
 
     def column(self, j: int) -> np.ndarray:
         """Similarity column K[:, j], as one matrix-vector product."""
-        return self._finish(self.rows @ self.right(j))
+        return self._finish(self.rows @ self._right(j))
 
-    def tiles(self, rows, cols):
-        """Yield (row span, column span, tile) covering K[rows, cols].
+    def column_sums(self) -> tuple[np.ndarray, float]:
+        """Every column sum of K and its smallest entry, from the tiles K[A, B]
+        with B >= A, each summed along both axes, as K is symmetric."""
+        side = math.isqrt(_TILE_FLOATS)
+        sums = np.zeros(self.n)
+        low = np.inf
+        for b in range(0, self.n, side):
+            right = self._right(slice(b, b + side))
+            for a in range(0, b + 1, side):
+                tile = self._cross(slice(a, a + side), right)
+                sums[b : b + side] += tile.sum(axis=0)
+                if b != a:
+                    sums[a : a + side] += tile.sum(axis=1)
+                low = min(low, float(tile.min()))
+        return sums, low
 
-        ``rows`` and ``cols`` are index arrays, or None for every point; the
-        spans are slices into them. Each tile is at most _TILE_FLOATS, and
-        at most _TILE_FLOATS // 64 rows high and columns wide, so neither
-        operand gathers more points than that.
-        """
-        n_rows, n_cols = (self.n if idx is None else len(idx) for idx in (rows, cols))
-        width = max(1, min(n_cols, _TILE_FLOATS // 64))
+    def clipped_sums(self, rows, cols: np.ndarray, floor: np.ndarray, cap=None) -> np.ndarray:
+        """For each c in ``cols``, the sum over ``rows`` (None for every point)
+        of min(max(K(i, c) - floor_i, 0), cap_i), in tiles at most
+        _TILE_FLOATS // 64 rows high and columns wide."""
+        n_rows = self.n if rows is None else len(rows)
+        width = max(1, min(cols.size, _TILE_FLOATS // 64))
         height = min(_TILE_FLOATS // 64, _TILE_FLOATS // width)
-        for c in range(0, n_cols, width):
+        sums = np.zeros(cols.size)
+        for c in range(0, cols.size, width):
             cs = slice(c, c + width)
-            right = self.right(cs if cols is None else cols[cs])
+            right = self._right(cols[cs])
             for r in range(0, n_rows, height):
                 rs = slice(r, r + height)
-                yield rs, cs, self.cross(rs if rows is None else rows[rs], right)
+                tile = self._cross(rs if rows is None else rows[rs], right)
+                tile -= floor[rs, None]
+                np.maximum(tile, 0.0, out=tile)
+                if cap is not None:
+                    np.minimum(tile, cap[rs, None], out=tile)
+                sums[cs] += tile.sum(axis=0)
+        return sums
 
 
 def select_k_center(embeddings, budget: int, kernel: KernelSpec | None = None) -> SelectionResult:
@@ -320,6 +338,9 @@ def select_k_center(embeddings, budget: int, kernel: KernelSpec | None = None) -
     index within _TIE_RTOL (relative) of the best, as in the other greedy
     selectors. The trace records the covering radius after each pick.
     A pick's distance becomes -inf, so it can never be the farthest again.
+
+    Peak memory is the kernel's plus 24 N bytes: the distances and a
+    column with its transform, or the medoid sum's three temporaries.
     """
     if kernel is not None and kernel.kind != "euclidean":
         raise InvalidKernel("k-center supports the euclidean kernel only")
@@ -328,8 +349,8 @@ def select_k_center(embeddings, budget: int, kernel: KernelSpec | None = None) -
     points, sq_norms, n = kern.points, kern.sq_norms, kern.n
     k = min(budget, n)
 
-    totals = n * sq_norms + sq_norms.sum() - 2.0 * (points @ points.sum(axis=0))
-    first, _ = _lowest_near_max(-totals)
+    # the medoid, from each point's total squared distance to the rest
+    first, _ = _lowest_near_max(-(n * sq_norms + sq_norms.sum() - 2.0 * (points @ points.sum(axis=0))))
 
     def dist_to(j: int) -> np.ndarray:
         return np.sqrt(0.0 - kern.column(j))  # not -K: a zero distance is +0.0
@@ -379,11 +400,6 @@ def select_facility_location(embeddings, budget: int, kernel: KernelSpec) -> Sel
     the best are ties, and every pick, the first included, is the lowest
     index among them.
 
-    The kernel is only ever built in tiles of at most _TILE_FLOATS
-    entries, so memory is the kernel's N x (d + 2) rows plus one tile
-    buffer. The column sums come from the tiles K[A, B] with B >= A, each
-    computed once and summed along both axes, since K is symmetric.
-
     Laziness is Minoux's, and exact: ``gain`` holds one value per
     candidate, and the mask ``front`` marks the candidates whose value is
     exact. Front gains stay exact by subtracting the coverage each new
@@ -400,41 +416,20 @@ def select_facility_location(embeddings, budget: int, kernel: KernelSpec) -> Sel
 
     ``stats`` counts the work: kernel entries computed, exact gain
     evaluations, candidates demoted from the front, and near-tie picks.
+
+    Peak memory is the kernel's plus 65 N bytes: the column sums, gains,
+    best values and ``front``, and five N-vectors if a pick captures all.
     """
     _check_budget(budget)
     cols = _ColumnKernel(embeddings, kernel)
     n = cols.n
     k = min(budget, n)
-
-    side = math.isqrt(_TILE_FLOATS)
-    col_sums = np.zeros(n)
-    low = np.inf  # smallest kernel entry
-    for b in range(0, n, side):
-        right = cols.right(slice(b, b + side))
-        for a in range(0, b + 1, side):
-            tile = cols.cross(slice(a, a + side), right)
-            col_sums[b : b + side] += tile.sum(axis=0)
-            if b != a:
-                col_sums[a : a + side] += tile.sum(axis=1)
-            low = min(low, float(tile.min()))
-
+    col_sums, low = cols.column_sums()
     first, tied = _lowest_near_max(col_sums)
     best = cols.column(first)
     selected = [first]
     trace = [float(best.sum())]
     stats = {"gain_evaluations": 0, "front_demotions": 0, "near_tie_picks": int(tied)}
-
-    def covered(rows, idx: np.ndarray, floor: np.ndarray, cap=None) -> np.ndarray:
-        """Sum over ``rows`` (None for all) of min(max(K(i, c) - floor_i, 0), cap_i)
-        for each c in ``idx``; ``floor`` and ``cap`` align with ``rows``."""
-        sums = np.zeros(idx.size)
-        for rs, cs, tile in cols.tiles(rows, idx):
-            tile -= floor[rs, None]
-            np.maximum(tile, 0.0, out=tile)
-            if cap is not None:
-                np.minimum(tile, cap[rs, None], out=tile)
-            sums[cs] += tile.sum(axis=0)
-        return sums
 
     # The seed bound needs no second kernel pass: every term
     # max(K(i,c) - best_i, 0) is at most K(i,c) - low, so the gain is at
@@ -458,7 +453,7 @@ def select_facility_location(embeddings, budget: int, kernel: KernelSpec) -> Sel
             if not stale.size:
                 break
             absorbed = stale[np.argsort(-gain[stale], kind="stable")[:batch]]
-            gain[absorbed] = covered(None, absorbed, best)
+            gain[absorbed] = cols.clipped_sums(None, absorbed, best)
             stats["gain_evaluations"] += absorbed.size
             front[absorbed] = True
             batch = min(batch * 4, _FRONT_CAP)
@@ -480,7 +475,7 @@ def select_facility_location(embeddings, budget: int, kernel: KernelSpec) -> Sel
             # is min(max(K(i,c) - old_i, 0), new_i - old_i) to the bit, as
             # rounding is monotone
             old_best = best[captured]
-            gain[members] -= covered(captured, members, old_best, column[captured] - old_best)
+            gain[members] -= cols.clipped_sums(captured, members, old_best, column[captured] - old_best)
         best[captured] = column[captured]
         trace.append(float(best.sum()))
 
@@ -525,10 +520,14 @@ def select_dpp(embeddings, budget: int, kernel: KernelSpec, jitter: float = 1e-6
     _JITTER_MARGIN x jitter, so they no longer cancel.
 
     The rbf kernel has no finite feature map, so it keeps the k x N
-    factor; its k*N*8 bytes, with the kernel's N*(d+2)*8, are checked
-    against physical memory before the factor is allocated. If every rbf
-    residual collapses to zero the result is returned partial, flagged
-    with a warning.
+    factor, checked with the kernel's rows against physical memory before
+    it is allocated. If every rbf residual collapses to zero the result is
+    returned partial, flagged with a warning.
+
+    Peak memory is the kernel's plus 24 N bytes (residuals, and a column or
+    product with its transform), plus 8 k N for the rbf factor, or else
+    8 N d + 16 d (k + 2d + 1,024): X', made before the kernel's rows are
+    released, and the d x d state, QR copies and one 1,024-row block.
     """
     _check_budget(budget)
     if not (jitter > 0 and math.isfinite(jitter)):
@@ -548,7 +547,6 @@ def select_dpp(embeddings, budget: int, kernel: KernelSpec, jitter: float = 1e-6
     else:
         proj = np.zeros((d, d))  # P
         residual = kern.sq_norms + jitter
-    rebased = False
 
     selected: list[int] = []
     trace: list[float] = []
@@ -556,14 +554,19 @@ def select_dpp(embeddings, budget: int, kernel: KernelSpec, jitter: float = 1e-6
     log_det = 0.0
     jitter_noted = False
     for step in range(k):
-        if not rbf and not rebased and not residual.max() >= floor:
+        if not rbf and kern is not None and not residual.max() >= floor:
             # R from the QR of [X_S; sqrt(jitter) I] has R^T R = jitter*I +
             # X_S^T X_S without forming it, so the jitter survives where it
             # is below the rounding of X_S^T X_S
-            rebased = True
-            stacked = np.vstack([points[selected], math.sqrt(jitter) * np.eye(d)])
-            upper = np.linalg.qr(stacked, mode="r")
-            points = np.linalg.solve(upper.T, points.T).T  # X R^-1
+            upper = np.linalg.qr(np.vstack([points[selected], math.sqrt(jitter) * np.eye(d)]), mode="r")
+            # X R^-1 in 1,024-row blocks, so the solve copies no N x d operand,
+            # into a column-major array, on which each later X' c is about a
+            # third faster than on the kernel's rows; those rows then go, and
+            # kern becomes None, which marks the points as re-based
+            rebased = np.empty((n, d), order="F")
+            for r in range(0, n, 1_024):
+                rebased[r : r + 1_024] = np.linalg.solve(upper.T, points[r : r + 1_024].T).T
+            points, kern = rebased, None
             points *= math.sqrt(jitter)
             proj[:] = 0.0
             residual = jitter + np.einsum("ij,ij->i", points, points)

@@ -239,3 +239,17 @@ def test_non_positive_task_confidence_is_floored():
 def test_ceil_allocation_absorbs_float_noise():
     alpha = np.array([5.0 + 1e-12, 4.333333333, 0.0, 2.9999999999999])
     assert list(ceil_allocation(alpha)) == [5, 5, 0, 3]
+
+
+@pytest.mark.parametrize("allocate", [allocate_task_diversity, allocate_weighted, allocate_active_it])
+@pytest.mark.parametrize("counts", [[3, 0], [-1, 4]])
+def test_task_with_no_examples_is_rejected(allocate, counts):
+    args = (counts, 4) if allocate is allocate_task_diversity else (counts, conf_of([0.5, 0.5]), 4)
+    with pytest.raises(ConfigError, match="every task must have at least one available example"):
+        allocate(*args)
+
+
+@pytest.mark.parametrize("allocate", [allocate_weighted, allocate_active_it])
+def test_task_confidences_of_another_length_are_rejected(allocate):
+    with pytest.raises(ConfigError, match="task confidences and counts cover different numbers of tasks"):
+        allocate([10, 10], conf_of([0.5, 0.5, 0.5]), 12)

@@ -577,6 +577,32 @@ class TestReport:
         assert main(["report", str(out)]) == 0
         assert "objective trace: 3 steps" in capsys.readouterr().out
 
+    def test_report_prints_confidences_and_warnings(self, tmp_path, capsys):
+        # a weighted allocation carries task confidences, and a budget over
+        # the pool size a warning
+        out = tmp_path / "m.json"
+        assert main(["select", "--pool", toy_pool(tmp_path), "--strategy", "weighted_task_diversity",
+                     "--budget", "30", "--output", str(out)]) == 0
+        warnings = json.loads(out.read_text())["warnings"]
+        assert warnings
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = next(line for line in lines if line.startswith("task"))
+        assert header.split() == ["task", "selected", "available", "alpha", "ceil", "confidence"]
+        rows = [line.split() for line in lines if line.startswith(("a ", "b ", "c "))]
+        assert len(rows) == 3 and all(float(row[-1]) == 0.5 for row in rows)
+        assert [line for line in lines if line.startswith("warning:")] == [
+            f"warning: {note}" for note in warnings
+        ]
+
+    @pytest.mark.parametrize("manifest", [[], "m", 3, None])
+    def test_manifest_that_is_not_an_object(self, tmp_path, capsys, manifest):
+        bad = tmp_path / "m.json"
+        bad.write_text(json.dumps(manifest))
+        assert main(["report", str(bad)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {bad}: manifest is not an object"]
+
     def test_corrupted_manifest(self, tmp_path, capsys):
         bad = tmp_path / "m.json"
         bad.write_text("{not json")
@@ -622,3 +648,15 @@ def test_importing_the_cli_leaves_numpy_random_unloaded():
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "False\n"
+
+
+def test_output_path_that_is_a_directory_leaves_no_temp_file(tmp_path, capsys):
+    target = tmp_path / "out"
+    target.mkdir()
+    code = main(["select", "--pool", toy_pool(tmp_path), "--strategy", "random", "--budget", "2",
+                 "--output", str(target)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert target.is_dir() and not any(target.iterdir())
+    assert not [p.name for p in tmp_path.iterdir() if p.name.startswith(".taskpick-tmp-")]

@@ -173,6 +173,22 @@ def digest(items) -> str:
     return hashlib.sha256(",".join(map(str, items)).encode()).hexdigest()[:16]
 
 
+# DPP's trace values, as float.hex, at the last step and at the step where an
+# in-place re-base on the kernel's row-major rows moved them most (by up to
+# 128 ulps); the re-base into a column-major copy gives them to the bit.
+# They hold for the BLAS these pins were recorded with (scipy-openblas
+# 0.3.31, DYNAMIC_ARCH, on a Haswell-class x86-64 core); another BLAS kernel
+# may round the products differently, while the picks above still hold
+PINNED_DPP_TRACES = {
+    "dpp-euclidean-801": {104: "0x1.53f02a6c72184p+1", 999: "-0x1.7d9e7c68d6445p+13"},
+    "dpp-euclidean-802": {104: "0x1.31cd2ea1dcc9cp+1", 999: "-0x1.7d9f266d33d7ep+13"},
+    "dpp-euclidean-803": {104: "0x1.9dd07e8aa52c8p+0", 999: "-0x1.7da32a2fb9650p+13"},
+    "dpp-cosine-801": {125: "-0x1.9ad7771f72655p+9", 999: "-0x1.8e9f82ba5d951p+13"},
+    "dpp-cosine-802": {301: "-0x1.8ee3d5256a4e2p+11", 999: "-0x1.8e9fc98c72759p+13"},
+    "dpp-cosine-803": {999: "-0x1.8e9fce4521604p+13"},
+}
+
+
 @pytest.mark.parametrize("name", PINNED)
 def test_selection_is_pinned(name, prefixes):
     select, seed, kernel, budget, expected, stats, objective = PINNED[name]
@@ -181,6 +197,8 @@ def test_selection_is_pinned(name, prefixes):
     assert digest(result.selected) == expected
     assert result.stats == stats
     assert result.objective_trace[-1] == pytest.approx(objective, rel=1e-12)
+    for step, value in PINNED_DPP_TRACES.get(name, {}).items():
+        assert result.objective_trace[step].hex() == value, step
 
 
 # the greedy selectors and kernels whose budget sweeps PREFIX_BUDGETS check

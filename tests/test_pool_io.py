@@ -518,3 +518,40 @@ def test_trace_columns_are_pinned_for_file_and_library_pools(tmp_path):
         digests = {name: hashlib.sha256(getattr(built, name).tobytes()).hexdigest()[:16]
                    for name in PINNED_TRACE_COLUMNS}
         assert digests == PINNED_TRACE_COLUMNS
+
+
+def test_json_line_that_is_not_an_object(tmp_path):
+    path = write_lines(tmp_path / "pool.jsonl", [{"id": "a", "task": "t"}, [1, 2]])
+    with pytest.raises(ParseError, match=r"pool\.jsonl:2: record is not an object$"):
+        load_pool(path)
+
+
+def test_sidecar_shorter_than_its_header(tmp_path):
+    sidecar = tmp_path / "emb.bin"
+    sidecar.write_bytes(bytes(15))
+    with pytest.raises(ShapeError, match="sidecar shorter than its 16-byte header$"):
+        read_embeddings(sidecar)
+
+
+def test_sidecar_header_with_zero_dimension(tmp_path):
+    # 3 rows of 0 floats is exactly the 16-byte header, so only d is wrong
+    sidecar = tmp_path / "emb.bin"
+    sidecar.write_bytes((3).to_bytes(8, "little") + (0).to_bytes(8, "little"))
+    with pytest.raises(ShapeError, match="embedding dimension must be >= 1, header says 0$"):
+        read_embeddings(sidecar)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 2, 2)])
+def test_write_embeddings_needs_a_matrix(tmp_path, shape):
+    sidecar = tmp_path / "emb.bin"
+    with pytest.raises(ShapeError, match="embedding matrix must be 2-dimensional"):
+        write_embeddings(sidecar, np.zeros(shape))
+    assert not sidecar.exists()
+
+
+def test_integer_embeddings_widen_to_float64():
+    pool = Pool([PromptRecord(id="a", task="t", embedding=np.array([1, -2], dtype=np.int32)),
+                 PromptRecord(id="b", task="t", embedding=np.array([3, 4], dtype=np.int64))])
+    matrix = pool.embedding_matrix()
+    assert matrix.dtype == np.float64
+    assert matrix.tolist() == [[1.0, -2.0], [3.0, 4.0]]

@@ -222,6 +222,22 @@ class TestUncertainty:
         with pytest.raises(MissingScore, match="mean_entropy"):
             select_uncertainty(pool, score_pool(pool), "mean_entropy", 1)
 
+    def test_unknown_criterion(self):
+        pool = make_pool({"t": 2}, confidences=[0.5, 0.7])
+        with pytest.raises(ConfigError, match="unknown uncertainty criterion 'max_margin'"):
+            select_uncertainty(pool, score_pool(pool), "max_margin", 1)
+
+    def test_scores_of_another_pool(self):
+        pool = make_pool({"t": 2}, confidences=[0.5, 0.7])
+        other = make_pool({"t": 3}, confidences=[0.5, 0.7, 0.9])
+        with pytest.raises(ConfigError, match="got 3 score entries for 2 records"):
+            select_uncertainty(pool, score_pool(other), "least_confidence", 1)
+
+
+def test_kernel_spec_rejects_an_unknown_kind():
+    with pytest.raises(InvalidKernel, match="unknown kernel kind 'manhattan'"):
+        KernelSpec("manhattan")
+
 
 @pytest.mark.parametrize("kind", ["rbf", "euclidean", "cosine"])
 @pytest.mark.parametrize("gamma", [float("inf"), float("-inf"), float("nan")])
@@ -377,7 +393,7 @@ class TestFacilityLocationTiles:
         pts = centers[rng.integers(0, 12, size=700)] + rng.standard_normal((700, 5))
         specs = (KernelSpec("rbf", 0.05), KernelSpec("euclidean"), KernelSpec("cosine"))
         references = [select_facility_location(pts, 60, spec) for spec in specs]
-        cross = selectors._ColumnKernel.cross
+        cross = selectors._ColumnKernel._cross
         shapes = set()
 
         def checked_cross(self, rows, right):
@@ -387,7 +403,7 @@ class TestFacilityLocationTiles:
             shapes.add(block.shape)
             return block
 
-        monkeypatch.setattr(selectors._ColumnKernel, "cross", checked_cross)
+        monkeypatch.setattr(selectors._ColumnKernel, "_cross", checked_cross)
         for tile_floats in (1 << 12, 1 << 15, selectors._TILE_FLOATS):
             monkeypatch.setattr(selectors, "_TILE_FLOATS", tile_floats)
             for spec, reference in zip(specs, references):
@@ -401,25 +417,54 @@ class TestFacilityLocationTiles:
         kern = selectors._ColumnKernel(rng.standard_normal((2_500, 3)), KernelSpec("euclidean"))
         shapes.clear()
         for rows, cols in ((np.arange(2_500), np.array([5])), (np.array([5]), np.arange(2_500))):
-            list(kern.tiles(rows, cols))
+            kern.clipped_sums(rows, cols, np.zeros(rows.size))
         assert shapes == {(1_024, 1), (452, 1), (1, 1_024), (1, 452)}
 
     @pytest.mark.parametrize("kind", ["rbf", "euclidean", "cosine"])
-    def test_tiles_do_not_overwrite_earlier_columns(self, rng, kind):
+    def test_tiles_do_not_overwrite_earlier_columns(self, rng, kind, monkeypatch):
         pts = rng.standard_normal((300, 4))
         kern = selectors._ColumnKernel(pts, KernelSpec(kind))
         column = kern.column(7)
         kept = column.copy()
-        for _, _, tile in kern.tiles(None, np.arange(300)):
+        cross = selectors._ColumnKernel._cross
+
+        def checked_cross(self, rows, right):
+            tile = cross(self, rows, right)
             assert not np.shares_memory(tile, column)
+            return tile
+
+        monkeypatch.setattr(selectors._ColumnKernel, "_cross", checked_cross)
+        kern.column_sums()
+        kern.clipped_sums(None, np.arange(300), np.zeros(300))
         assert column.tobytes() == kept.tobytes()
         assert column.tobytes() == kern.column(7).tobytes()
 
     @pytest.mark.parametrize("kind", ["rbf", "euclidean", "cosine"])
-    def test_tiles_are_the_product_form_to_the_bit(self, rng, kind, monkeypatch):
+    def test_walks_are_the_only_public_methods_and_own_their_results(self, rng, kind):
+        # column, column_sums and clipped_sums are K's whole interface, and
+        # none hands out the scratch tile, which the next tile overwrites
+        public = {name for name in vars(selectors._ColumnKernel) if not name.startswith("_")}
+        assert public == {"column", "column_sums", "clipped_sums"}
+        pts = rng.standard_normal((700, 4))
+        kern = selectors._ColumnKernel(pts, KernelSpec(kind))
+        dense = fl_kernel(kern.points, kind, 0.1)
+        rows, cols = rng.permutation(700)[:500], rng.permutation(700)[:300]
+        floor, cap = rng.standard_normal(500), np.abs(rng.standard_normal(500))
+        sums, low = kern.column_sums()
+        clipped = kern.clipped_sums(rows, cols, floor, cap)
+        uncapped = kern.clipped_sums(None, cols, np.zeros(700))
+        for walked in (kern.column(7), sums, clipped, uncapped):
+            assert not np.shares_memory(walked, kern._tile)
+        assert np.allclose(sums, dense.sum(axis=0), rtol=1e-12, atol=1e-9)
+        assert low == pytest.approx(dense.min(), rel=1e-12, abs=1e-12)
+        expected = np.minimum(np.maximum(dense[np.ix_(rows, cols)] - floor[:, None], 0.0), cap[:, None])
+        assert np.allclose(clipped, expected.sum(axis=0), rtol=1e-12, atol=1e-9)
+        assert np.allclose(uncapped, np.maximum(dense[:, cols], 0.0).sum(axis=0), rtol=1e-12, atol=1e-9)
+
+    @pytest.mark.parametrize("kind", ["rbf", "euclidean", "cosine"])
+    def test_tiles_are_the_product_form_to_the_bit(self, rng, kind):
         # every tile and column is the rows [x, |x|^2, 1] times [2y, -1, -|y|^2]
         # (or [y, 0, 0]), then min(t, 0), and gamma and exp for rbf, to the bit
-        monkeypatch.setattr(selectors, "_TILE_FLOATS", 1 << 12)
         spec = KernelSpec(kind, 0.3 if kind == "rbf" else None)
         kern = selectors._ColumnKernel(3.0 * rng.standard_normal((300, 16)), spec)
         pts, sq = kern.points, kern.sq_norms
@@ -436,24 +481,29 @@ class TestFacilityLocationTiles:
                 t = np.minimum(t, 0.0)
             return np.exp(t * 0.3) if kind == "rbf" else t
 
-        dense = np.empty((300, 200))
-        for rs, cs, tile in kern.tiles(None, cols):
-            dense[rs, cs] = tile
+        dense = self.tiled(kern, cols)
         assert dense.tobytes() == plain(rows @ right[:, cols]).tobytes()
         assert kern.column(7).tobytes() == plain(rows @ right[:, 7]).tobytes()
 
     @staticmethod
-    def kernel_tiles(rng, kind, d):
+    def tiled(kern, cols, side=64):
+        """K[:, cols] from the kernel's tile product, in side x side tiles."""
+        dense = np.empty((kern.n, cols.size))
+        for c in range(0, cols.size, side):
+            right = kern._right(cols[c : c + side])
+            for r in range(0, kern.n, side):
+                dense[r : r + side, c : c + side] = kern._cross(slice(r, r + side), right)
+        return dense
+
+    @classmethod
+    def kernel_tiles(cls, rng, kind, d):
         """A kernel on 300 points in d dimensions, half of them within 1e-6
         of the other half, 200 shuffled columns, and the tiles' K[:, cols]."""
         x = rng.standard_normal((300, d)) * np.sqrt(10.0 / d)
         x[150:] = x[:150] + 1e-6 * rng.standard_normal((150, d))
         kern = selectors._ColumnKernel(x, KernelSpec(kind, 0.3 if kind == "rbf" else None))
         cols = rng.permutation(300)[:200]
-        dense = np.empty((300, 200))
-        for rs, cs, tile in kern.tiles(None, cols):
-            dense[rs, cs] = tile
-        return kern, cols, dense
+        return kern, cols, cls.tiled(kern, cols)
 
     @staticmethod
     def within_kernel_tolerance(kind, d, values, exact, norm_sums):
@@ -468,8 +518,7 @@ class TestFacilityLocationTiles:
 
     @pytest.mark.parametrize("d", [16, 64, 1024])
     @pytest.mark.parametrize("kind", ["rbf", "euclidean", "cosine"])
-    def test_tiles_are_within_the_tolerance_of_the_textbook_distance(self, rng, kind, d, monkeypatch):
-        monkeypatch.setattr(selectors, "_TILE_FLOATS", 1 << 12)
+    def test_tiles_are_within_the_tolerance_of_the_textbook_distance(self, rng, kind, d):
         kern, cols, dense = self.kernel_tiles(rng, kind, d)
         # the textbook forms, in extended precision where the platform has
         # it, one row at a time to keep the d-wide differences small
@@ -484,10 +533,9 @@ class TestFacilityLocationTiles:
 
     @pytest.mark.parametrize("d", [16, 64, 1024])
     @pytest.mark.parametrize("kind", ["rbf", "euclidean", "cosine"])
-    def test_columns_agree_with_the_tiles_within_the_tolerance(self, rng, kind, d, monkeypatch):
+    def test_columns_agree_with_the_tiles_within_the_tolerance(self, rng, kind, d):
         # a column is a matrix-vector product and a tile a matrix product,
         # which may round differently
-        monkeypatch.setattr(selectors, "_TILE_FLOATS", 1 << 12)
         kern, cols, dense = self.kernel_tiles(rng, kind, d)
         for c in range(0, 200, 7):
             norm_sums = kern.sq_norms + kern.sq_norms[cols[c]]
@@ -579,19 +627,62 @@ def test_selections_do_not_depend_on_blas_threads():
     assert picks[0] == picks[1]
 
 
-_MEMORY_SCRIPT = """
-import resource, sys
+# The high-water mark of a fresh process's own memory. Its ru_maxrss would
+# start at the spawning test process's, which exec replaced, and hide a rise.
+_HIGH_WATER = """
+def high_water():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) << 10 for line in fh if line.startswith("VmHWM:"))
+"""
+
+_MEMORY_SCRIPT = _HIGH_WATER + """
+import sys
 import numpy as np
 from taskpick.selectors import KernelSpec, _ColumnKernel
 n = int(sys.argv[1])
 pts = np.random.default_rng(5).standard_normal((n, 64), dtype=np.float32)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+before = high_water()
 kern = _ColumnKernel(pts, KernelSpec("rbf", 0.002))
-for _ in kern.tiles(np.arange(n), np.array([7])):
-    pass
+kern.clipped_sums(np.arange(n), np.array([7]), np.zeros(n))
 kern.column(7)
-print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024)
+print(high_water() - before)
 """
+
+
+_PEAK_SCRIPT = _HIGH_WATER + """
+import json, sys
+import numpy as np
+from taskpick.selectors import KernelSpec, select_dpp, select_facility_location, select_k_center
+strategy, kind, k, n = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
+rng = np.random.default_rng(5)
+pts = rng.standard_normal((n, 64), dtype=np.float32)
+if strategy == "facility_location":
+    # clustered, as lazy greedy on one Gaussian cloud is slow; in place, so
+    # that no N x d temporary sets the peak before the call
+    centers = 6.0 * rng.standard_normal((40, 64), dtype=np.float32)
+    labels = rng.integers(0, 40, size=n)
+    for r in range(0, n, 1_024):
+        pts[r : r + 1_024] += centers[labels[r : r + 1_024]]
+select = {"k_center": select_k_center, "facility_location": select_facility_location, "dpp": select_dpp}
+before = high_water()
+result = select[strategy](pts, k, KernelSpec(kind, 0.002 if kind == "rbf" else None))
+print(json.dumps([high_water() - before, result.warnings]))
+"""
+
+
+def _kernel_bytes(n, d):
+    """The kernel's N x (d + 2) float64 rows and its 512 KB scratch tile."""
+    return 8 * n * (d + 2) + (1 << 19)
+
+
+# (strategy, kernel, budget): the peak each selector's docstring states, in N, d and k
+STATED_PEAKS = {
+    ("k_center", "euclidean", 50): lambda n, d, k: _kernel_bytes(n, d) + 24 * n,
+    ("facility_location", "rbf", 20): lambda n, d, k: _kernel_bytes(n, d) + 65 * n,
+    ("dpp", "euclidean", 100): lambda n, d, k: _kernel_bytes(n, d) + 24 * n + 8 * n * d + 16 * d * (k + 2 * d + 1_024),
+    ("dpp", "cosine", 100): lambda n, d, k: _kernel_bytes(n, d) + 24 * n + 8 * n * d + 16 * d * (k + 2 * d + 1_024),
+    ("dpp", "rbf", 50): lambda n, d, k: _kernel_bytes(n, d) + 24 * n + 8 * k * n,
+}
 
 
 class TestKernelMemory:
@@ -636,6 +727,23 @@ class TestKernelMemory:
         out = subprocess.run([sys.executable, "-c", _MEMORY_SCRIPT, str(n)], env=env, check=True,
                              capture_output=True, text=True, timeout=300)
         assert int(out.stdout) <= n * 66 * 8 + (8 << 20)
+
+    @pytest.mark.parametrize("strategy, kind, budget", STATED_PEAKS)
+    def test_peak_is_within_the_stated_formula(self, strategy, kind, budget):
+        # a fresh process at 30K x 64 float32 on one BLAS thread; 4 MiB is the
+        # runtime's share: OpenBLAS's work buffers, which the first level-3
+        # call touches, and free memory the allocator keeps
+        n = 30_000
+        src = os.path.dirname(os.path.dirname(selectors.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        out = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT, strategy, kind, str(budget), str(n)],
+                             env=env, check=True, capture_output=True, text=True, timeout=300)
+        rise, warnings = json.loads(out.stdout)
+        assert rise <= STATED_PEAKS[strategy, kind, budget](n, 64, budget) + (4 << 20)
+        if strategy == "dpp" and kind != "rbf":
+            # the budget passes d = 64, so the points were re-based
+            assert any("at step 64 is below" in w for w in warnings)
 
 
 class TestDpp:
