@@ -15,6 +15,7 @@ from .allocation import (
     ceil_allocation,
 )
 from .errors import TaskpickError
+from .manifest import manifest_payload
 from .pool import (
     Pool,
     PromptRecord,
@@ -34,7 +35,6 @@ from .selectors import (
     KernelSpec,
     SelectionResult,
     StrategyConfig,
-    manifest_payload,
     round_robin,
     run_strategy,
     select_dpp,

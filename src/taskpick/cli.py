@@ -12,8 +12,9 @@ import os
 import sys
 import tempfile
 
-from .errors import ParseError, TaskpickError
-from .pool import _NUMBERS, _SURROGATE, _not_utf8, _parse_json, load_pool
+from .errors import ConfigError, TaskpickError
+from .manifest import manifest_payload, report_lines
+from .pool import load_pool
 from .scoring import read_scores, render_scores, score_pool
 from .selectors import (
     _DEFAULT_KERNELS,
@@ -21,9 +22,14 @@ from .selectors import (
     STRATEGIES,
     KernelSpec,
     StrategyConfig,
-    manifest_payload,
     run_strategy,
 )
+
+
+def _check_regular(path: str) -> None:
+    # renaming over a FIFO or device node replaces it; reading a FIFO blocks
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise ConfigError(f"{path} exists and is not a regular file")
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -35,6 +41,7 @@ def _atomic_write(path: str, text: str) -> None:
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates 0600; outputs follow the umask
+        _check_regular(path)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -60,10 +67,12 @@ def _resolve_kernel(args) -> KernelSpec | None:
 
 
 def cmd_select(args) -> int:
+    cache = args.scores_cache if args.strategy in _SCORED_STRATEGIES else None
+    for path in filter(None, (cache, args.output)):  # before any work: a failed select writes no cache
+        _check_regular(path)
     pool = load_pool(args.pool, args.embeddings)
 
     scores = None
-    cache = args.scores_cache if args.strategy in _SCORED_STRATEGIES else None
     new_cache = cache and not os.path.exists(cache)
     if cache:
         scores = score_pool(pool) if new_cache else read_scores(cache, pool)
@@ -89,74 +98,9 @@ def cmd_select(args) -> int:
     return 0
 
 
-# exact types, as the pool reader takes numbers: a JSON true is not a count
-_ALLOCATION_ROW = {"task": {str}, "selected": {int}, "available": {int}, "alpha": _NUMBERS,
-                   "alpha_ceil": {int}}
-# key: (type, value when absent or null); None marks a required key
-_MANIFEST = {"strategy": (str, None), "per_task": (dict, None), "selected_ids": (list, None),
-             "params": (dict, {}), "allocation": (list, []), "objective_trace": (list, []),
-             "warnings": (list, [])}
-
-
 def cmd_report(args) -> int:
-    with open(args.manifest, encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(args.manifest, exc) from exc
-    manifest = _parse_json(text, args.manifest)
-    if not isinstance(manifest, dict):
-        raise ParseError(f"{args.manifest}: manifest is not an object")
-    if _SURROGATE.search(json.dumps(manifest, ensure_ascii=False)):
-        raise ParseError(f"{args.manifest}: manifest holds a lone surrogate, which is not valid Unicode")
-    fields = []
-    for key, (kind, default) in _MANIFEST.items():
-        value = manifest.get(key)
-        if value is None and default is None:
-            raise ParseError(f"{args.manifest}: manifest is missing {key!r}")
-        fields.append(default if value is None else value)
-        if not isinstance(fields[-1], kind):
-            raise ParseError(f"{args.manifest}: manifest {key!r} is not a {kind.__name__}")
-    strategy, per_task, selected, params, allocation, trace, warnings = fields
-    for row in allocation:
-        if not isinstance(row, dict) or type(row.get("confidence", 0.0)) not in _NUMBERS or any(
-            type(row.get(k)) not in kinds for k, kinds in _ALLOCATION_ROW.items()
-        ):
-            raise ParseError(f"{args.manifest}: malformed allocation row {row!r}")
-    if any(type(v) is not int for v in per_task.values()) or not _NUMBERS.issuperset(
-        map(type, trace)
-    ):
-        raise ParseError(f"{args.manifest}: manifest counts or trace values are not numbers")
-
-    print(f"strategy: {strategy}")
-    print(f"seed: {manifest.get('seed')}")
-    print("params: " + ", ".join(f"{k}={v}" for k, v in sorted(params.items())))
-    print(f"selected: {len(selected)}")
-
-    if allocation:
-        rows = sorted(allocation, key=lambda r: (-r["selected"], r["task"]))
-        has_conf = any("confidence" in r for r in rows)
-        header = f"{'task':<28}{'selected':>9}{'available':>11}{'alpha':>10}{'ceil':>6}"
-        if has_conf:
-            header += f"{'confidence':>12}"
-        print(header)
-        for r in rows:
-            line = (
-                f"{r['task']:<28}{r['selected']:>9}{r['available']:>11}"
-                f"{r['alpha']:>10.2f}{r['alpha_ceil']:>6}"
-            )
-            if has_conf:
-                line += f"{r.get('confidence', float('nan')):>12.4g}"
-            print(line)
-    else:
-        print(f"{'task':<28}{'selected':>9}")
-        for task, count in sorted(per_task.items(), key=lambda kv: (-kv[1], kv[0])):
-            print(f"{task:<28}{count:>9}")
-
-    if trace:
-        print(f"objective trace: {len(trace)} steps, first={trace[0]:.6g}, last={trace[-1]:.6g}")
-    for note in warnings:
-        print(f"warning: {note}")
+    for line in report_lines(args.manifest):
+        print(line)
     return 0
 
 

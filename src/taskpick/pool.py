@@ -307,6 +307,8 @@ def _parse_json(text: str, where: str):
         raise ParseError(f"{where}: invalid JSON ({exc.msg})") from exc
     except OverflowError as exc:
         raise ParseError(f"{where}: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{where}: invalid JSON (nested too deeply)") from exc
 
 
 def _not_utf8(path, exc: UnicodeDecodeError) -> ParseError:

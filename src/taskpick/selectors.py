@@ -25,6 +25,7 @@ from .allocation import (
     ceil_allocation,
 )
 from .errors import ConfigError, InvalidKernel, MissingScore, ValidationError
+from .manifest import _allocation_table
 from .pool import Pool, TaskPartition
 from .scoring import Scores, score_pool, task_mean_confidence
 
@@ -626,17 +627,6 @@ class StrategyConfig:
 _DEFAULT_KERNELS = {"k_center": "euclidean", "facility_location": "rbf", "dpp": "euclidean"}
 
 
-def _allocation_table(partition, allocation, result, task_conf=None) -> list[dict]:
-    """One manifest row per task, from columns in the partition's task order."""
-    columns = {"task": partition.tasks, "available": partition.counts.tolist(),
-               "alpha": allocation.alpha.tolist(),
-               "alpha_ceil": ceil_allocation(allocation.alpha).tolist(),
-               "selected": [result.per_task[label] for label in partition.tasks]}
-    if task_conf is not None:
-        columns["confidence"] = task_conf.tolist()
-    return [dict(zip(columns, row)) for row in zip(*columns.values())]
-
-
 def run_strategy(pool: Pool, config: StrategyConfig, scores=None) -> SelectionResult:
     """Dispatch a named strategy over a pool.
 
@@ -682,24 +672,3 @@ def run_strategy(pool: Pool, config: StrategyConfig, scores=None) -> SelectionRe
     result.strategy = name
     result.seed = config.seed
     return result
-
-
-def manifest_payload(result: SelectionResult, pool: Pool) -> dict:
-    """Serializable selection manifest; keys are stable across runs."""
-    ids = pool.ids()
-    payload = {
-        "strategy": result.strategy,
-        "params": result.params,
-        "seed": result.seed,
-        "budget": result.params.get("budget"),
-        "selected_ids": [ids[i] for i in result.selected],
-        "per_task": result.per_task,
-        "warnings": result.warnings,
-    }
-    if result.objective_trace is not None:
-        payload["objective_trace"] = result.objective_trace
-    if result.allocation is not None:
-        payload["allocation"] = result.allocation
-    if result.stats is not None:
-        payload["stats"] = result.stats
-    return payload

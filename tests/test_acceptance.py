@@ -31,12 +31,12 @@ from taskpick.allocation import (
     allocate_weighted,
     ceil_allocation,
 )
+from taskpick.manifest import manifest_payload
 from taskpick.pool import load_pool, read_embeddings, write_embeddings
 from taskpick.scoring import score_pool, task_mean_confidence
 from taskpick.selectors import (
     KernelSpec,
     StrategyConfig,
-    manifest_payload,
     round_robin,
     run_strategy,
     select_dpp,

@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 import warnings
@@ -640,6 +641,135 @@ class TestReport:
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+def report_pool(tmp_path):
+    """23 records in three tasks, each with a two-position token trace and a
+    4-d embedding in a sidecar; returns the pool and sidecar paths."""
+    rows, vectors = [], []
+    for task, top in (("a", 0.55), ("b", 0.7), ("c", 0.9)):
+        for i in range(10 if task != "a" else 3):
+            p = top - 0.01 * i
+            rows.append({"id": f"{task}{i}", "task": task, "token_probs": [[p, 1 - p], [0.8, 0.2]]})
+            n = len(vectors)
+            vectors.append([n % 3, n * 7 % 5, n * 3 % 4, 1.0])
+    sidecar = tmp_path / "emb.bin"
+    write_embeddings(sidecar, np.array(vectors, dtype=np.float32))
+    return write_pool(tmp_path / "pool.jsonl", rows), str(sidecar)
+
+
+# `report`'s stdout for manifests `select` writes from report_pool, and for
+# two hand-written ones, recorded before report moved to taskpick.manifest
+REPORT_SELECTS = {
+    "weighted_task_diversity": ("--strategy", "weighted_task_diversity", "--budget", "19"),
+    "task_diversity": ("--strategy", "task_diversity", "--budget", "13"),
+    "random": ("--strategy", "random", "--budget", "5", "--seed", "7"),
+    "dpp": ("--strategy", "dpp", "--budget", "3"),
+    "over_budget": ("--strategy", "weighted_task_diversity", "--budget", "30"),
+}
+REPORT_MANIFESTS = {
+    "mixed_confidence": {
+        "strategy": "hand", "seed": None, "params": {"budget": 4, "note": "x"},
+        "selected_ids": ["a0", "a1", "b0", "c0"], "per_task": {"a": 2, "b": 1, "c": 1},
+        "allocation": [
+            {"task": "a", "selected": 2, "available": 3, "alpha": 2, "alpha_ceil": 2,
+             "confidence": 0.25},
+            {"task": "b", "selected": 1, "available": 5, "alpha": 1.5, "alpha_ceil": 2},
+            {"task": "c", "selected": 1, "available": 1, "alpha": 0.5, "alpha_ceil": 1,
+             "confidence": 3},
+        ],
+        "warnings": ["first note", "second note"],
+    },
+    "empty_per_task": {"strategy": "hand", "per_task": {}, "selected_ids": []},
+}
+REPORT_PINS = {
+    "weighted_task_diversity": (
+        "strategy: weighted_task_diversity\n"
+        "seed: 0\n"
+        "params: base=5, budget=19\n"
+        "selected: 19\n"
+        "task                         selected  available     alpha  ceil  confidence\n"
+        "b                                   9         10      9.06    10       0.524\n"
+        "c                                   7         10      6.94     7       0.684\n"
+        "a                                   3          3      3.00     3       0.432\n"
+    ),
+    "task_diversity": (
+        "strategy: task_diversity\n"
+        "seed: 0\n"
+        "params: budget=13\n"
+        "selected: 13\n"
+        "task                         selected  available     alpha  ceil\n"
+        "b                                   5         10      5.00     5\n"
+        "c                                   5         10      5.00     5\n"
+        "a                                   3          3      3.00     3\n"
+    ),
+    "random": (
+        "strategy: random\n"
+        "seed: 7\n"
+        "params: budget=5\n"
+        "selected: 5\n"
+        "task                         selected\n"
+        "b                                   2\n"
+        "c                                   2\n"
+        "a                                   1\n"
+    ),
+    "dpp": (
+        "strategy: dpp\n"
+        "seed: 0\n"
+        "params: budget=3, jitter=1e-06, kernel=euclidean\n"
+        "selected: 3\n"
+        "task                         selected\n"
+        "c                                   2\n"
+        "b                                   1\n"
+        "a                                   0\n"
+        "objective trace: 3 steps, first=3.4012, last=6.57925\n"
+    ),
+    "over_budget": (
+        "strategy: weighted_task_diversity\n"
+        "seed: 0\n"
+        "params: base=5, budget=30\n"
+        "selected: 23\n"
+        "task                         selected  available     alpha  ceil  confidence\n"
+        "b                                  10         10     10.00    10       0.524\n"
+        "c                                  10         10     10.00    10       0.684\n"
+        "a                                   3          3      3.00     3       0.432\n"
+        "warning: budget 30 exceeds pool size 23; capped at 23\n"
+        "warning: allocation exhausted after 23 of 30 requested examples\n"
+    ),
+    "mixed_confidence": (
+        "strategy: hand\n"
+        "seed: None\n"
+        "params: budget=4, note=x\n"
+        "selected: 4\n"
+        "task                         selected  available     alpha  ceil  confidence\n"
+        "a                                   2          3      2.00     2        0.25\n"
+        "b                                   1          5      1.50     2         nan\n"
+        "c                                   1          1      0.50     1           3\n"
+        "warning: first note\n"
+        "warning: second note\n"
+    ),
+    "empty_per_task": (
+        "strategy: hand\n"
+        "seed: None\n"
+        "params: \n"
+        "selected: 0\n"
+        "task                         selected\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", [*REPORT_SELECTS, *REPORT_MANIFESTS])
+def test_report_output_is_pinned(tmp_path, capsys, name):
+    manifest = tmp_path / "m.json"
+    if name in REPORT_SELECTS:
+        pool, sidecar = report_pool(tmp_path)
+        assert main(["select", "--pool", pool, "--embeddings", sidecar, *REPORT_SELECTS[name],
+                     "--output", str(manifest)]) == 0
+    else:
+        manifest.write_text(json.dumps(REPORT_MANIFESTS[name]))
+    capsys.readouterr()
+    assert main(["report", str(manifest)]) == 0
+    assert capsys.readouterr().out == REPORT_PINS[name]
+
+
 def test_importing_the_cli_leaves_numpy_random_unloaded():
     # numpy imports numpy.random on first use, at 10 ms or more; a command
     # that draws no random numbers should not pay for it at import
@@ -660,3 +790,85 @@ def test_output_path_that_is_a_directory_leaves_no_temp_file(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error:")
     assert target.is_dir() and not any(target.iterdir())
     assert not [p.name for p in tmp_path.iterdir() if p.name.startswith(".taskpick-tmp-")]
+
+
+def run_module(*args, timeout=60):
+    """Run ``python -m taskpick.cli`` on ``args`` against this checkout."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(taskpick.__file__))}
+    return subprocess.run([sys.executable, "-m", "taskpick.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def test_every_strategy_round_trips_through_report(tmp_path, capsys):
+    pool, sidecar = report_pool(tmp_path)
+    warned = set()
+    for strategy in taskpick.STRATEGIES:
+        manifest = tmp_path / f"{strategy}.json"
+        assert main(["select", "--pool", pool, "--embeddings", sidecar, "--strategy", strategy,
+                     "--budget", "6", "--output", str(manifest)]) == 0
+        capsys.readouterr()
+        assert main(["report", str(manifest)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        written = json.loads(manifest.read_text())
+        assert written["strategy"] == strategy and lines[0] == f"strategy: {strategy}"
+        assert f"selected: {len(written['selected_ids'])}" in lines
+        assert [line for line in lines if line.startswith("warning: ")] == [
+            f"warning: {note}" for note in written["warnings"]
+        ]
+        warned.update([strategy] if written["warnings"] else [])
+    assert warned == {"weighted_task_diversity", "dpp"}  # floors over budget; a rank-4 kernel
+
+    # a successful select writes nothing to stderr, so importing the package
+    # does not import taskpick.cli ahead of runpy
+    manifest = tmp_path / "module.json"
+    run = run_module("select", "--pool", pool, "--strategy", "task_diversity", "--budget", "6",
+                     "--output", str(manifest))
+    assert (run.returncode, run.stderr) == (0, "")
+    assert json.loads(manifest.read_text())["warnings"] == []
+
+
+@pytest.mark.parametrize("depth", [995, 100_000])
+def test_deeply_nested_json_is_one_error_line(tmp_path, capsys, depth):
+    nested = "[" * depth + "]" * depth
+    pool = tmp_path / "pool.jsonl"
+    pool.write_text(f'{{"id": "a", "task": "t", "token_probs": {nested}}}\n')
+    out = tmp_path / "m.json"
+    assert main(["select", "--pool", str(pool), "--strategy", "random", "--budget", "1",
+                 "--output", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {pool}:1: invalid JSON (nested too deeply)"
+    ]
+    assert not out.exists()
+
+    out.write_text(f'{{"strategy": "x", "per_task": {{}}, "selected_ids": {nested}}}')
+    assert main(["report", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {out}: invalid JSON (nested too deeply)"]
+
+
+@pytest.mark.parametrize("command", [["score"], ["select", "--strategy", "random", "--budget", "2"],
+                                     ["select", "--strategy", "least_confidence", "--budget", "2",
+                                      "--scores-cache", "new-cache.jsonl"]])
+def test_output_path_that_is_a_fifo_is_refused(tmp_path, capsys, monkeypatch, command):
+    # no temp file is left and, as for any failed select, no new cache written
+    monkeypatch.chdir(tmp_path)
+    os.mkfifo("out")
+    code = main([command[0], "--pool", toy_pool(tmp_path), *command[1:], "--output", "out"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == ["error: out exists and is not a regular file"]
+    assert stat.S_ISFIFO(os.stat("out").st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "pool.jsonl"]
+
+
+def test_scores_cache_that_is_a_fifo_is_refused_without_blocking(tmp_path):
+    # in a subprocess, so that opening the FIFO to read would time out
+    # here instead of stalling the suite
+    fifo = tmp_path / "scores.jsonl"
+    os.mkfifo(fifo)
+    out = tmp_path / "m.json"
+    run = run_module("select", "--pool", toy_pool(tmp_path), "--strategy", "least_confidence",
+                     "--budget", "2", "--scores-cache", str(fifo), "--output", str(out), timeout=30)
+    assert run.returncode == 1
+    assert run.stderr.splitlines() == [f"error: {fifo} exists and is not a regular file"]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode) and not out.exists()

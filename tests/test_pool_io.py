@@ -430,7 +430,7 @@ def test_library_and_file_pools_reject_the_same_records(tmp_path, fields, messag
 @pytest.mark.parametrize(
     "trace",
     [
-        ((10**400, 0.5), ("x", 0.1)),  # the type error comes first, as in a file
+        ((10**400, 0.5), ("x", 0.1)),  # the type error comes first; a file reports the integer
         ((np.bool_(True), np.bool_(False)),),
         (np.array([True, False]),),
         (np.array([[0.9, 0.1]]),),

@@ -38,12 +38,12 @@ from taskpick.errors import (
     MissingEmbedding,
     MissingScore,
 )
+from taskpick.manifest import manifest_payload
 from taskpick.pool import Pool, PromptRecord
 from taskpick.scoring import score_pool, task_mean_confidence
 from taskpick.selectors import (
     KernelSpec,
     StrategyConfig,
-    manifest_payload,
     round_robin,
     run_strategy,
     select_dpp,
