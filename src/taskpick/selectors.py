@@ -43,6 +43,9 @@ _TIE_RTOL = 1e-12
 _FRONT_CAP = 256
 # DPP pivots below this multiple of the jitter are jitter, not kernel.
 _JITTER_MARGIN = 1e3
+# k-center computes the columns of this many likely next centres in one
+# product over the kernel's rows, which reads the rows once for all of them.
+_KCENTER_BLOCK = 16
 
 UNCERTAINTY_CRITERIA = ("least_confidence", "mean_entropy", "mean_margin", "min_margin")
 # The strategies that read per-example scores; only they use a scores cache.
@@ -292,6 +295,11 @@ class _ColumnKernel:
         """Similarity column K[:, j], as one matrix-vector product."""
         return self._finish(self.rows @ self._right(j))
 
+    def columns(self, cols: np.ndarray) -> np.ndarray:
+        """The columns K[:, cols] as the rows of one C-contiguous (len(cols), N)
+        block, from one matrix product that reads the rows once."""
+        return self._finish(self._right(cols).T @ self.rows.T)
+
     def column_sums(self) -> tuple[np.ndarray, float]:
         """Every column sum of K and its smallest entry, from the tiles K[A, B]
         with B >= A, each summed along both axes, as K is symmetric."""
@@ -339,9 +347,21 @@ def select_k_center(embeddings, budget: int, kernel: KernelSpec | None = None) -
     index within _TIE_RTOL (relative) of the best, as in the other greedy
     selectors. The trace records the covering radius after each pick.
     A pick's distance becomes -inf, so it can never be the farthest again.
+    Each trace value's square is within the kernel's bound,
+    (d + 2) eps (|x|^2 + |y|^2), of the exact squared distance it stands for.
 
-    Peak memory is the kernel's plus 24 N bytes: the distances and a
-    column with its transform, or the medoid sum's three temporaries.
+    Distance columns come in blocks of _KCENTER_BLOCK: when a pick's column
+    is not in the last block, one product computes it with the columns of
+    the other points farthest from their nearest centre, which are likely
+    the next picks. A block depends only on the distances and the pick, so
+    it decides which columns are computed together, never a pick, and a
+    larger budget still holds every smaller one. ``stats`` counts the
+    kernel entries, the blocks (products over the rows) and the picks that
+    had a near tie.
+
+    Peak memory is the kernel's plus 144 N bytes: the distances, a block of
+    8 _KCENTER_BLOCK N bytes, and either the block's N partition indices or
+    the medoid sum's three temporaries.
     """
     if kernel is not None and kernel.kind != "euclidean":
         raise InvalidKernel("k-center supports the euclidean kernel only")
@@ -351,21 +371,32 @@ def select_k_center(embeddings, budget: int, kernel: KernelSpec | None = None) -
     k = min(budget, n)
 
     # the medoid, from each point's total squared distance to the rest
-    first, _ = _lowest_near_max(-(n * sq_norms + sq_norms.sum() - 2.0 * (points @ points.sum(axis=0))))
+    nxt, ties = _lowest_near_max(-(n * sq_norms + sq_norms.sum() - 2.0 * (points @ points.sum(axis=0))))
 
-    def dist_to(j: int) -> np.ndarray:
-        return np.sqrt(0.0 - kern.column(j))  # not -K: a zero distance is +0.0
+    def distance_block(pick: int) -> dict:
+        """Distance columns of ``pick`` and the other points farthest from
+        their nearest centre, by point, as rows of one block."""
+        width = min(_KCENTER_BLOCK, n)
+        far = np.argpartition(min_dist, n - width)[n - width :]
+        block = np.concatenate(([pick], far[far != pick][: width - 1]))
+        dist = kern.columns(block)
+        np.sqrt(np.subtract(0.0, dist, out=dist), out=dist)  # not -K: a zero distance is +0.0
+        return dict(zip(block.tolist(), dist))
 
-    selected = [first]
-    min_dist = dist_to(first)
-    min_dist[first] = -np.inf
-    trace = [max(float(min_dist.max()), 0.0)]
-    while len(selected) < k:
-        nxt, _ = _lowest_near_max(min_dist)
+    selected, trace, cached, blocks = [], [], {}, 0
+    min_dist = np.full(n, np.inf)  # before the medoid, every point is as far as any
+    while True:
+        if nxt not in cached:
+            cached = {}  # the last block goes before the next is made
+            cached, blocks = distance_block(nxt), blocks + 1
         selected.append(nxt)
-        np.minimum(min_dist, dist_to(nxt), out=min_dist)
+        np.minimum(min_dist, cached.pop(nxt), out=min_dist)
         min_dist[nxt] = -np.inf
         trace.append(max(float(min_dist.max()), 0.0))
+        if len(selected) == k:
+            break
+        nxt, tied = _lowest_near_max(min_dist)
+        ties += tied
 
     return SelectionResult(
         selected=selected,
@@ -373,6 +404,7 @@ def select_k_center(embeddings, budget: int, kernel: KernelSpec | None = None) -
         params={"budget": budget, "kernel": "euclidean"},
         objective_trace=trace,
         warnings=_cap_note(budget, n, "number of points"),
+        stats={"kernel_entries": kern.entries, "column_blocks": blocks, "near_tie_picks": int(ties)},
     )
 
 

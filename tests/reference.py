@@ -92,6 +92,26 @@ def kcenter_lowest_near_max_pick(points, chosen, rtol=1e-12):
     return int(np.flatnonzero(nearest >= top - rtol * abs(top))[0])
 
 
+def kcenter_sq_radii(points, selected):
+    """The squared covering radius after each pick of ``selected``, from
+    dense cdist squared distances, and the kernel's tolerance for it,
+    (d + 2) eps (|x|^2 + |y|^2) with |x|^2 the largest squared norm of a
+    point not yet picked and |y|^2 that of a pick so far."""
+    points = np.asarray(points, dtype=np.float64)
+    sq = cdist(points, points[list(selected)], "sqeuclidean")
+    norms = (points * points).sum(axis=1)
+    nearest = np.full(len(points), np.inf)
+    picked = np.zeros(len(points), dtype=bool)
+    radii, bounds = [], []
+    for step, pick in enumerate(selected):
+        np.minimum(nearest, sq[:, step], out=nearest)
+        picked[pick] = True
+        radii.append(float(nearest[~picked].max(initial=0.0)))
+        top = float(norms[~picked].max(initial=0.0)) + float(norms[list(selected[: step + 1])].max())
+        bounds.append((points.shape[1] + 2) * np.finfo(float).eps * top)
+    return np.array(radii), np.array(bounds)
+
+
 def dpp_kernel(points, kind, gamma=None):
     """Similarity matrix under DPP semantics (euclidean = inner product)."""
     points = np.asarray(points, dtype=np.float64)

@@ -1,14 +1,14 @@
 """Pinned selections on prefixes of the desk pool.
 
 The greedy selectors run on 6K prefixes; each case pins a digest of the
-selected indices, FL's work counters, and the final objective value. The
-scoring strategies run on the 3K token-trace pool; each case pins a digest
-of the selected ids and one of the per-task counts. A change that alters a
-pick on purpose updates these tables and says why in CHANGES.md; any other
-change must leave them as they are. The embeddings are the float32 rows the
-sidecar holds, widened to float64 as the selectors' kernel widens them.
-Each strategy's whole CLI manifest is pinned on both pools too, less its
-input paths and its objective trace.
+selected indices, FL's and k-center's work counters, and the final
+objective value. The scoring strategies run on the 3K token-trace pool;
+each case pins a digest of the selected ids and one of the per-task counts.
+A change that alters a pick on purpose updates these tables and says why in
+CHANGES.md; any other change must leave them as they are. The embeddings
+are the float32 rows the sidecar holds, widened to float64 as the
+selectors' kernel widens them. Each strategy's whole CLI manifest is pinned
+on both pools too, less its input paths and its objective trace.
 """
 
 import hashlib
@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from desk import desk_arrays, desk_token_probs
+from reference import kcenter_sq_radii
 from taskpick.cli import main
 from taskpick.pool import Pool, PromptRecord, save_pool, write_embeddings
 from taskpick.selectors import (
@@ -32,7 +33,7 @@ from taskpick.selectors import (
 ROWS = 6_000
 RBF = KernelSpec("rbf", 0.002)
 
-# name: (selector, seed, kernel, budget, digest, FL stats, final objective)
+# name: (selector, seed, kernel, budget, digest, FL and k-center stats, final objective)
 PINNED = {
     "fl-rbf-801": (
         select_facility_location, 801, RBF, 1_000, "8282ce93afac9feb",
@@ -89,13 +90,16 @@ PINNED = {
         -12755.975717793228,
     ),
     "k-center-801": (
-        select_k_center, 801, None, 2_000, "77839b8e547567ed", None, 24.04958949202492,
+        select_k_center, 801, None, 2_000, "77839b8e547567ed",
+        {"kernel_entries": 13920000, "column_blocks": 145, "near_tie_picks": 0}, 24.04958949202492,
     ),
     "k-center-802": (
-        select_k_center, 802, None, 2_000, "a27c213d82f41770", None, 21.132099657988412,
+        select_k_center, 802, None, 2_000, "a27c213d82f41770",
+        {"kernel_entries": 13824000, "column_blocks": 144, "near_tie_picks": 0}, 21.132099657988412,
     ),
     "k-center-803": (
-        select_k_center, 803, None, 2_000, "4909c3fac53f6d29", None, 19.95603029620634,
+        select_k_center, 803, None, 2_000, "4909c3fac53f6d29",
+        {"kernel_entries": 13728000, "column_blocks": 143, "near_tie_picks": 0}, 19.95603029620634,
     ),
 }
 
@@ -140,7 +144,7 @@ PINNED_MANIFESTS = {
     ("desk", "task_diversity"): "673eaf0a6bc0981e",
     ("desk", "weighted_task_diversity"): "a62748132b30ed10",
     ("desk", "active_it"): "19a3b28146407daa",
-    ("desk", "k_center"): "4a3cc2893e19cf89",
+    ("desk", "k_center"): "90fa4173443d1b44",
     ("desk", "facility_location"): "1e84908c0f539c8b",
     ("desk", "dpp"): "c7bf49db0c6ec698",
 }
@@ -223,6 +227,15 @@ def test_greedy_budgets_are_prefixes(name, prefixes):
     assert short.selected == full.selected[:small]
     assert [x.hex() for x in short.objective_trace] == [x.hex() for x in full.objective_trace[:small]]
     assert short.warnings == full.warnings
+
+
+def test_k_center_trace_is_within_the_kernel_tolerance(prefixes):
+    # each trace value, squared, is within (d + 2) eps (|x|^2 + |y|^2) of the
+    # squared covering radius that cdist gives for the same picks
+    points = prefixes(801)[:PREFIX_ROWS]
+    result = select_k_center(points, PREFIX_BUDGETS[1])
+    radii, bounds = kcenter_sq_radii(points, result.selected)
+    assert np.all(np.abs(np.square(result.objective_trace) - radii) <= bounds)
 
 
 @pytest.mark.parametrize("strategy", PINNED_TOKEN)

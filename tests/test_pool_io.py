@@ -442,6 +442,19 @@ def test_library_pool_rejects_traces_no_file_can_hold(trace):
     assert str(error.value) == "record 0: 'token_probs' must be an array of arrays of numbers"
 
 
+def test_a_trace_failing_two_checks_gets_each_readers_first_error(tmp_path):
+    # the library checks the trace's types first; the file reader meets the
+    # 401-digit integer while it decodes the line, before any type check
+    trace = [[10**400, 0.5], ["x", 0.1]]
+    with pytest.raises(ParseError) as library:
+        Pool([PromptRecord(id="a", task="t", token_probs=trace)])
+    assert str(library.value) == "record 0: 'token_probs' must be an array of arrays of numbers"
+    path = write_lines(tmp_path / "pool.jsonl", [{"id": "a", "task": "t", "token_probs": trace}])
+    with pytest.raises(ParseError) as file:
+        load_pool(path)
+    assert str(file.value) == f"{path}:1: integer of 401 digits does not fit a float"
+
+
 def test_true_false_in_an_id_and_nan_in_a_trace_load_as_before(tmp_path):
     path = tmp_path / "pool.jsonl"
     path.write_text('{"id": "true-false", "task": "t", "token_probs": [[0.9, 0.1], [1, 0]]}\n')

@@ -17,6 +17,7 @@ from reference import (
     fl_lowest_near_max_pick,
     fl_objective,
     kcenter_lowest_near_max_pick,
+    kcenter_sq_radii,
     log_confidence,
     loop_round_robin,
     margins,
@@ -272,6 +273,54 @@ class TestKCenter:
         result = select_k_center(pts, 3)
         assert len(set(result.selected)) == 3
 
+    def test_duplicate_points_across_blocks(self, rng):
+        # 10 distinct points three times over: 30 points, two blocks wide;
+        # after the 10 distinct ones the radius is +0.0, never -0.0
+        pts = np.tile(rng.normal(size=(10, 3)), (3, 1))
+        result = select_k_center(pts, len(pts))
+        for step, pick in enumerate(result.selected):
+            assert pick == kcenter_lowest_near_max_pick(pts, result.selected[:step]), step
+        assert sorted(result.selected) == list(range(30))
+        assert {x.hex() for x in result.objective_trace[9:]} == {"0x0.0p+0"}
+
+    @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 50])
+    def test_blocks_at_and_around_their_width(self, rng, n):
+        # N <= 16 is one block of every point; at N = 17 the partition leaves
+        # one point out; at budget N, late blocks hold picked points at -inf
+        pts = rng.normal(size=(n, 3))
+        result = select_k_center(pts, n)
+        for step, pick in enumerate(result.selected):
+            assert pick == kcenter_lowest_near_max_pick(pts, result.selected[:step]), step
+        assert sorted(result.selected) == list(range(n))
+        assert result.objective_trace[-1] == 0.0
+        stats = result.stats
+        assert stats["kernel_entries"] == stats["column_blocks"] * min(n, 16) * n
+        assert (stats["column_blocks"] == 1) == (n <= 16)
+
+    @pytest.mark.parametrize("width", [2, None])
+    def test_block_width_decides_no_pick(self, monkeypatch, rng, width):
+        # blocks of 2 and of every point give the picks of blocks of 16, and
+        # traces within the kernel's tolerance, which both sides may use
+        pts = 3.0 * rng.standard_normal((30, 8))[rng.integers(0, 30, size=400)]
+        pts += rng.standard_normal(pts.shape)
+        base = select_k_center(pts, 150)
+        monkeypatch.setattr(selectors, "_KCENTER_BLOCK", width or len(pts))
+        other = select_k_center(pts, 150)
+        assert other.selected == base.selected
+        _, bounds = kcenter_sq_radii(pts, base.selected)
+        assert np.all(np.abs(np.square(other.objective_trace) - np.square(base.objective_trace)) <= 2 * bounds)
+        blocks = other.stats["column_blocks"]
+        assert (blocks == 1) if width is None else (blocks > base.stats["column_blocks"])
+
+    def test_stats_count_blocks_and_near_ties(self):
+        pts = mirrored_pairs(seed=0)
+        result = select_k_center(pts, len(pts))
+        stats = result.stats
+        assert set(stats) == {"kernel_entries", "column_blocks", "near_tie_picks"}
+        assert stats["kernel_entries"] == stats["column_blocks"] * 16 * len(pts)
+        assert 0 < stats["near_tie_picks"] < len(pts)
+        assert select_k_center(pts, len(pts)).stats == stats
+
     @pytest.mark.parametrize("seed", range(4))
     def test_every_pick_is_the_lowest_near_max(self, seed):
         # the points share one norm and sum to zero, so every total squared
@@ -441,10 +490,11 @@ class TestFacilityLocationTiles:
 
     @pytest.mark.parametrize("kind", ["rbf", "euclidean", "cosine"])
     def test_walks_are_the_only_public_methods_and_own_their_results(self, rng, kind):
-        # column, column_sums and clipped_sums are K's whole interface, and
-        # none hands out the scratch tile, which the next tile overwrites
+        # column, columns, column_sums and clipped_sums are K's whole
+        # interface, and none hands out the scratch tile, which the next tile
+        # overwrites
         public = {name for name in vars(selectors._ColumnKernel) if not name.startswith("_")}
-        assert public == {"column", "column_sums", "clipped_sums"}
+        assert public == {"column", "columns", "column_sums", "clipped_sums"}
         pts = rng.standard_normal((700, 4))
         kern = selectors._ColumnKernel(pts, KernelSpec(kind))
         dense = fl_kernel(kern.points, kind, 0.1)
@@ -453,8 +503,11 @@ class TestFacilityLocationTiles:
         sums, low = kern.column_sums()
         clipped = kern.clipped_sums(rows, cols, floor, cap)
         uncapped = kern.clipped_sums(None, cols, np.zeros(700))
-        for walked in (kern.column(7), sums, clipped, uncapped):
+        block = kern.columns(cols[:16])
+        for walked in (kern.column(7), block, sums, clipped, uncapped):
             assert not np.shares_memory(walked, kern._tile)
+        assert block.flags.c_contiguous and block.shape == (16, 700)
+        assert np.allclose(block, dense[:, cols[:16]].T, rtol=1e-12, atol=1e-9)
         assert np.allclose(sums, dense.sum(axis=0), rtol=1e-12, atol=1e-9)
         assert low == pytest.approx(dense.min(), rel=1e-12, abs=1e-12)
         expected = np.minimum(np.maximum(dense[np.ix_(rows, cols)] - floor[:, None], 0.0), cap[:, None])
@@ -534,12 +587,14 @@ class TestFacilityLocationTiles:
     @pytest.mark.parametrize("d", [16, 64, 1024])
     @pytest.mark.parametrize("kind", ["rbf", "euclidean", "cosine"])
     def test_columns_agree_with_the_tiles_within_the_tolerance(self, rng, kind, d):
-        # a column is a matrix-vector product and a tile a matrix product,
-        # which may round differently
+        # a column is a matrix-vector product, and a block of columns and a
+        # tile are matrix products, which may round differently
         kern, cols, dense = self.kernel_tiles(rng, kind, d)
-        for c in range(0, 200, 7):
+        block = kern.columns(cols[::7])
+        for row, c in enumerate(range(0, 200, 7)):
             norm_sums = kern.sq_norms + kern.sq_norms[cols[c]]
-            assert self.within_kernel_tolerance(kind, d, kern.column(cols[c]), dense[:, c], norm_sums)
+            for column in (kern.column(cols[c]), block[row]):
+                assert self.within_kernel_tolerance(kind, d, column, dense[:, c], norm_sums)
 
     def test_capture_loss_is_the_clip_form_to_the_bit(self, rng):
         # FL's capture update takes min(max(K - old, 0), new - old) for
@@ -591,9 +646,15 @@ class TestFacilityLocationTiles:
         assert stats["kernel_entries"] >= 300 * 301 // 2  # the column sums alone
         assert stats["gain_evaluations"] >= 39
 
+    def test_k_center_stats_reach_the_manifest(self, rng):
+        pool = make_pool({"a": 6}, embeddings=rng.normal(size=(6, 2)))
+        result = run_strategy(pool, StrategyConfig("k_center", budget=2, seed=0))
+        assert manifest_payload(result, pool)["stats"] == result.stats
+        assert result.stats == {"kernel_entries": 36, "column_blocks": 1, "near_tie_picks": 0}
+
     def test_other_strategies_have_no_stats(self, rng):
         pool = make_pool({"a": 6}, embeddings=rng.normal(size=(6, 2)))
-        for name in ("k_center", "dpp", "random"):
+        for name in ("dpp", "random"):
             result = run_strategy(pool, StrategyConfig(name, budget=2, seed=0))
             assert result.stats is None
             assert "stats" not in manifest_payload(result, pool)
@@ -677,7 +738,7 @@ def _kernel_bytes(n, d):
 
 # (strategy, kernel, budget): the peak each selector's docstring states, in N, d and k
 STATED_PEAKS = {
-    ("k_center", "euclidean", 50): lambda n, d, k: _kernel_bytes(n, d) + 24 * n,
+    ("k_center", "euclidean", 50): lambda n, d, k: _kernel_bytes(n, d) + 144 * n,
     ("facility_location", "rbf", 20): lambda n, d, k: _kernel_bytes(n, d) + 65 * n,
     ("dpp", "euclidean", 100): lambda n, d, k: _kernel_bytes(n, d) + 24 * n + 8 * n * d + 16 * d * (k + 2 * d + 1_024),
     ("dpp", "cosine", 100): lambda n, d, k: _kernel_bytes(n, d) + 24 * n + 8 * n * d + 16 * d * (k + 2 * d + 1_024),

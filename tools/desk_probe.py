@@ -4,6 +4,10 @@ Usage, from a taskpick checkout:
 
     PYTHONPATH=src python tools/desk_probe.py facility_location --kernel rbf --gamma 0.002
     PYTHONPATH=src python tools/desk_probe.py dpp --kernel euclidean --budget 1000
+    PYTHONPATH=src python tools/desk_probe.py k_center --budget 30000
+
+k-center always runs on the euclidean kernel, and the probe refuses any other
+``--kernel`` for it; facility location and DPP default to rbf.
 
 The inputs are ``perfbench/gen.py``'s desk embeddings at seed 707 (90K x 64
 float32), the same rows criterion 7 reads back from its sidecar, widened to
@@ -40,9 +44,10 @@ from taskpick.selectors import (  # noqa: E402
     KernelSpec,
     select_dpp,
     select_facility_location,
+    select_k_center,
 )
 
-SELECTORS = {"facility_location": select_facility_location, "dpp": select_dpp}
+SELECTORS = {"facility_location": select_facility_location, "dpp": select_dpp, "k_center": select_k_center}
 
 
 def digest(items) -> str:
@@ -56,10 +61,15 @@ def max_rss_mib() -> float:
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("strategy", choices=SELECTORS)
-    parser.add_argument("--kernel", default="rbf", choices=("rbf", "euclidean"))
+    parser.add_argument("--kernel", choices=("rbf", "euclidean"))
     parser.add_argument("--gamma", type=float, default=None)
     parser.add_argument("--budget", type=int, default=1_000)
     args = parser.parse_args(argv)
+    if args.strategy == "k_center":
+        if args.kernel not in (None, "euclidean") or args.gamma is not None:
+            parser.error("k_center uses the euclidean kernel only")
+        args.kernel = "euclidean"
+    args.kernel = args.kernel or "rbf"
 
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/emb707.npy"
