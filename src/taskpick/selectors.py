@@ -24,7 +24,7 @@ from .allocation import (
     allocate_weighted,
     ceil_allocation,
 )
-from .errors import ConfigError, InvalidKernel, MissingScore, ValidationError
+from .errors import ConfigError, InvalidKernel, MissingScore, ShapeError, ValidationError
 from .manifest import _allocation_table
 from .pool import Pool, TaskPartition
 from .scoring import Scores, score_pool, task_mean_confidence
@@ -234,13 +234,15 @@ class _ColumnKernel:
     the one place that widens points, squares them and normalises them for
     cosine, in place; ``points`` and ``sq_norms`` are views of it. A row
     times _right(y) = [2y, -1, -|y|^2] is -|x - y|^2, and times [y, 0, 0]
-    (cosine) x.y, so every kernel value is one product. ``column``,
+    (cosine) x.y, so every kernel value is one product. ``columns``,
     ``column_sums`` and ``clipped_sums`` return arrays of their own; the
     last two walk K one scratch tile of at most _TILE_FLOATS at a time.
     ``entries`` counts the kernel values computed so far.
     """
 
     def __init__(self, embeddings, spec: KernelSpec):
+        if np.ndim(embeddings) != 2 or not len(embeddings):
+            raise ShapeError(f"embeddings must be a non-empty N x d matrix, got shape {np.shape(embeddings)}")
         n, d = np.shape(embeddings)
         _check_memory(n * (d + 2) * 8, f"the kernel needs {n} x {d + 2} float64 rows")
         self.spec, self.n, self.entries = spec, n, 0
@@ -251,8 +253,8 @@ class _ColumnKernel:
         # bounds every squared distance, column sum and k-center total
         if not math.isfinite(4.0 * n * self.sq_norms.max(initial=0.0)):
             raise ValidationError(
-                "embeddings are too large: 4 x N x their largest squared norm"
-                " overflows float64; rescale them"
+                "embeddings hold a non-finite value, or 4 x N x their largest"
+                " squared norm overflows float64; rescale them"
             )
         if spec.kind == "cosine":
             self.points /= np.maximum(np.sqrt(self.sq_norms), 1e-30)[:, None]
@@ -290,10 +292,6 @@ class _ColumnKernel:
         left = self.rows[rows]
         size = left.shape[0] * right.shape[1]
         return self._finish(np.matmul(left, right, out=self._tile[:size].reshape(left.shape[0], -1)))
-
-    def column(self, j: int) -> np.ndarray:
-        """Similarity column K[:, j], as one matrix-vector product."""
-        return self._finish(self.rows @ self._right(j))
 
     def columns(self, cols: np.ndarray) -> np.ndarray:
         """The columns K[:, cols] as the rows of one C-contiguous (len(cols), N)
@@ -459,7 +457,7 @@ def select_facility_location(embeddings, budget: int, kernel: KernelSpec) -> Sel
     k = min(budget, n)
     col_sums, low = cols.column_sums()
     first, tied = _lowest_near_max(col_sums)
-    best = cols.column(first)
+    best = cols.columns([first])[0]
     selected = [first]
     trace = [float(best.sum())]
     stats = {"gain_evaluations": 0, "front_demotions": 0, "near_tie_picks": int(tied)}
@@ -500,7 +498,7 @@ def select_facility_location(embeddings, budget: int, kernel: KernelSpec) -> Sel
         front[chosen] = False
         members = np.delete(members, pos)
 
-        column = cols.column(chosen)
+        column = cols.columns([chosen])[0]
         captured = np.flatnonzero(column > best)
         if captured.size and members.size:
             # a captured point i moves from old_i to new_i, so candidate c
@@ -620,7 +618,7 @@ def select_dpp(embeddings, budget: int, kernel: KernelSpec, jitter: float = 1e-6
         log_det += math.log(pivot)
         trace.append(log_det)
         if rbf:
-            row = kern.column(j)
+            row = kern.columns([j])[0]
             row -= factors[:step, j] @ factors[:step]
             row /= math.sqrt(pivot)
             factors[step] = row

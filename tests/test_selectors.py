@@ -38,6 +38,8 @@ from taskpick.errors import (
     MissingConfidence,
     MissingEmbedding,
     MissingScore,
+    ShapeError,
+    ValidationError,
 )
 from taskpick.manifest import manifest_payload
 from taskpick.pool import Pool, PromptRecord
@@ -245,6 +247,29 @@ def test_kernel_spec_rejects_an_unknown_kind():
 def test_kernel_spec_rejects_non_finite_gamma(kind, gamma):
     with pytest.raises(InvalidKernel):
         KernelSpec(kind, gamma)
+
+
+# each greedy selector with each kernel it accepts
+GREEDY = [(select_k_center, None)] + [
+    (select, KernelSpec(kind)) for select in (select_facility_location, select_dpp)
+    for kind in ("euclidean", "rbf", "cosine")
+]
+
+
+@pytest.mark.parametrize("select, kernel", GREEDY)
+@pytest.mark.parametrize("shape", [(0, 4), (0, 0), (4,), (), (3, 4, 2)])
+def test_greedy_selectors_reject_embeddings_that_are_not_a_non_empty_matrix(select, kernel, shape):
+    with pytest.raises(ShapeError, match=r"^embeddings must be a non-empty N x d matrix, got shape \("):
+        select(np.zeros(shape), 3, kernel)
+
+
+@pytest.mark.parametrize("select, kernel", GREEDY)
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_greedy_selectors_name_non_finite_embeddings(rng, select, kernel, value):
+    pts = rng.standard_normal((6, 3))
+    pts[4, 1] = value
+    with pytest.raises(ValidationError, match=r"^embeddings hold a non-finite value, or .* overflows float64"):
+        select(pts, 3, kernel)
 
 
 class TestKCenter:
@@ -473,7 +498,7 @@ class TestFacilityLocationTiles:
     def test_tiles_do_not_overwrite_earlier_columns(self, rng, kind, monkeypatch):
         pts = rng.standard_normal((300, 4))
         kern = selectors._ColumnKernel(pts, KernelSpec(kind))
-        column = kern.column(7)
+        column = kern.columns([7])[0]
         kept = column.copy()
         cross = selectors._ColumnKernel._cross
 
@@ -486,15 +511,14 @@ class TestFacilityLocationTiles:
         kern.column_sums()
         kern.clipped_sums(None, np.arange(300), np.zeros(300))
         assert column.tobytes() == kept.tobytes()
-        assert column.tobytes() == kern.column(7).tobytes()
+        assert column.tobytes() == kern.columns([7])[0].tobytes()
 
     @pytest.mark.parametrize("kind", ["rbf", "euclidean", "cosine"])
     def test_walks_are_the_only_public_methods_and_own_their_results(self, rng, kind):
-        # column, columns, column_sums and clipped_sums are K's whole
-        # interface, and none hands out the scratch tile, which the next tile
-        # overwrites
+        # columns, column_sums and clipped_sums are K's whole interface, and
+        # none hands out the scratch tile, which the next tile overwrites
         public = {name for name in vars(selectors._ColumnKernel) if not name.startswith("_")}
-        assert public == {"column", "columns", "column_sums", "clipped_sums"}
+        assert public == {"columns", "column_sums", "clipped_sums"}
         pts = rng.standard_normal((700, 4))
         kern = selectors._ColumnKernel(pts, KernelSpec(kind))
         dense = fl_kernel(kern.points, kind, 0.1)
@@ -504,7 +528,7 @@ class TestFacilityLocationTiles:
         clipped = kern.clipped_sums(rows, cols, floor, cap)
         uncapped = kern.clipped_sums(None, cols, np.zeros(700))
         block = kern.columns(cols[:16])
-        for walked in (kern.column(7), block, sums, clipped, uncapped):
+        for walked in (kern.columns([7])[0], block, sums, clipped, uncapped):
             assert not np.shares_memory(walked, kern._tile)
         assert block.flags.c_contiguous and block.shape == (16, 700)
         assert np.allclose(block, dense[:, cols[:16]].T, rtol=1e-12, atol=1e-9)
@@ -516,8 +540,9 @@ class TestFacilityLocationTiles:
 
     @pytest.mark.parametrize("kind", ["rbf", "euclidean", "cosine"])
     def test_tiles_are_the_product_form_to_the_bit(self, rng, kind):
-        # every tile and column is the rows [x, |x|^2, 1] times [2y, -1, -|y|^2]
-        # (or [y, 0, 0]), then min(t, 0), and gamma and exp for rbf, to the bit
+        # every tile and one-column block is the rows [x, |x|^2, 1] times
+        # [2y, -1, -|y|^2] (or [y, 0, 0]), then min(t, 0), and gamma and exp
+        # for rbf, to the bit; the FL and DPP rbf pins rest on the one-column case
         spec = KernelSpec(kind, 0.3 if kind == "rbf" else None)
         kern = selectors._ColumnKernel(3.0 * rng.standard_normal((300, 16)), spec)
         pts, sq = kern.points, kern.sq_norms
@@ -536,7 +561,7 @@ class TestFacilityLocationTiles:
 
         dense = self.tiled(kern, cols)
         assert dense.tobytes() == plain(rows @ right[:, cols]).tobytes()
-        assert kern.column(7).tobytes() == plain(rows @ right[:, 7]).tobytes()
+        assert kern.columns([7])[0].tobytes() == plain(rows @ right[:, 7]).tobytes()
 
     @staticmethod
     def tiled(kern, cols, side=64):
@@ -587,13 +612,13 @@ class TestFacilityLocationTiles:
     @pytest.mark.parametrize("d", [16, 64, 1024])
     @pytest.mark.parametrize("kind", ["rbf", "euclidean", "cosine"])
     def test_columns_agree_with_the_tiles_within_the_tolerance(self, rng, kind, d):
-        # a column is a matrix-vector product, and a block of columns and a
-        # tile are matrix products, which may round differently
+        # a one-column block is a matrix-vector product, and a wider block
+        # and a tile are matrix products, which may round differently
         kern, cols, dense = self.kernel_tiles(rng, kind, d)
         block = kern.columns(cols[::7])
         for row, c in enumerate(range(0, 200, 7)):
             norm_sums = kern.sq_norms + kern.sq_norms[cols[c]]
-            for column in (kern.column(cols[c]), block[row]):
+            for column in (kern.columns(cols[c : c + 1])[0], block[row]):
                 assert self.within_kernel_tolerance(kind, d, column, dense[:, c], norm_sums)
 
     def test_capture_loss_is_the_clip_form_to_the_bit(self, rng):
@@ -705,7 +730,7 @@ pts = np.random.default_rng(5).standard_normal((n, 64), dtype=np.float32)
 before = high_water()
 kern = _ColumnKernel(pts, KernelSpec("rbf", 0.002))
 kern.clipped_sums(np.arange(n), np.array([7]), np.zeros(n))
-kern.column(7)
+kern.columns([7])[0]
 print(high_water() - before)
 """
 
