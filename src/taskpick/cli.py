@@ -32,6 +32,18 @@ def _check_regular(path: str) -> None:
         raise ConfigError(f"{path} exists and is not a regular file")
 
 
+def _check_not_input(output: str, *inputs) -> None:
+    # renaming over an input replaces it; a scores cache that does not exist
+    # yet can only be compared by its resolved path
+    for path in filter(None, inputs):
+        if os.path.exists(output) and os.path.exists(path):
+            same = os.path.samefile(output, path)
+        else:
+            same = os.path.realpath(output) == os.path.realpath(path)
+        if same:
+            raise ConfigError(f"output {output} is the same file as input {path}")
+
+
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".taskpick-tmp-")
@@ -50,6 +62,7 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def cmd_score(args) -> int:
+    _check_not_input(args.output, args.pool, args.embeddings)
     pool = load_pool(args.pool, args.embeddings)
     scores = score_pool(pool)
     _atomic_write(args.output, render_scores(pool, scores))
@@ -70,6 +83,7 @@ def cmd_select(args) -> int:
     cache = args.scores_cache if args.strategy in _SCORED_STRATEGIES else None
     for path in filter(None, (cache, args.output)):  # before any work: a failed select writes no cache
         _check_regular(path)
+    _check_not_input(args.output, args.pool, args.embeddings, cache)
     pool = load_pool(args.pool, args.embeddings)
 
     scores = None

@@ -256,8 +256,13 @@ class Pool:
         return self._ids
 
     def embedding_matrix(self) -> np.ndarray:
-        """All embeddings as the stored read-only matrix of shape (N, d):
-        float32 from a sidecar, float64 from inline vectors.
+        """All embeddings as the stored read-only matrix of shape (N, d).
+
+        From a sidecar it is float32. Inline vectors take their common numpy
+        dtype, with lists and tuples counting as float64 and float64 in place
+        of an integer result. So a float ndarray keeps its dtype,
+        ``Pool(pool.records)`` of a sidecar pool stays float32, and a pool
+        read from a file, whose vectors are lists, holds float64.
 
         Raises MissingEmbedding if any record lacks one.
         """

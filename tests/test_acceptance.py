@@ -15,8 +15,8 @@ import time
 import numpy as np
 import pytest
 
+import gen
 from conftest import make_pool
-from desk import desk_arrays
 from oracles import oracle_greedy_step, oracle_kcenter_radius, oracle_minmax_allocation
 from reference import (
     bisect_weighted_alpha,
@@ -32,7 +32,7 @@ from taskpick.allocation import (
     ceil_allocation,
 )
 from taskpick.manifest import manifest_payload
-from taskpick.pool import load_pool, read_embeddings, write_embeddings
+from taskpick.pool import load_pool, read_embeddings
 from taskpick.scoring import score_pool, task_mean_confidence
 from taskpick.selectors import (
     KernelSpec,
@@ -225,18 +225,13 @@ def test_criterion_6_scoring_numerics():
 
 @pytest.fixture(scope="module")
 def desk_scale_inputs(tmp_path_factory):
-    """tests/desk.py's synthetic 90K x 64 pool over 1,691 tasks at seed 707,
-    confidences plus a sidecar of embeddings."""
-    labels, assign, conf, emb = desk_arrays(707)
+    """The desk pool at seed 707: 90K records over 1,691 tasks with
+    confidences, and a float32 sidecar of their 64-d embeddings. They come
+    from perfbench/gen.py, the one generator of the desk pool, so the
+    benchmark and tools/desk_probe.py see the same pool."""
     root = tmp_path_factory.mktemp("desk")
-    lines = [
-        json.dumps({"id": f"p{i:06d}", "task": labels[assign[i]], "confidence": float(conf[i])})
-        for i in range(len(assign))
-    ]
-    pool_path = root / "pool.jsonl"
-    pool_path.write_text("\n".join(lines) + "\n")
-    emb_path = root / "embeddings.bin"
-    write_embeddings(emb_path, emb)
+    pool_path, emb_path = root / "pool.jsonl", root / "embeddings.bin"
+    gen.write_desk_pool(pool_path, emb_path, 707)
     return str(pool_path), str(emb_path)
 
 

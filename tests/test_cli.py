@@ -872,3 +872,35 @@ def test_scores_cache_that_is_a_fifo_is_refused_without_blocking(tmp_path):
     assert run.returncode == 1
     assert run.stderr.splitlines() == [f"error: {fifo} exists and is not a regular file"]
     assert stat.S_ISFIFO(os.stat(fifo).st_mode) and not out.exists()
+
+
+@pytest.mark.parametrize("pool, command, output, named", [
+    ("pool.jsonl", ["select", "--strategy", "random"], "pool.jsonl", "pool.jsonl"),
+    ("pool.jsonl", ["select", "--strategy", "k_center"], "emb.bin", "emb.bin"),
+    ("pool.jsonl", ["select", "--strategy", "least_confidence", "--scores-cache", "scores.jsonl"],
+     "scores.jsonl", "scores.jsonl"),
+    ("pool.jsonl", ["select", "--strategy", "least_confidence", "--scores-cache", "new.jsonl"],
+     "new.jsonl", "new.jsonl"),
+    ("pool.jsonl", ["score"], "pool.jsonl", "pool.jsonl"),
+    ("pool.jsonl", ["score"], "emb.bin", "emb.bin"),
+    ("link.jsonl", ["select", "--strategy", "random"], "pool.jsonl", "link.jsonl"),
+])
+def test_output_that_names_an_input_is_refused(tmp_path, capsys, monkeypatch, pool, command,
+                                               output, named):
+    # every input keeps its bytes, and no manifest, scores cache or temp file is written
+    monkeypatch.chdir(tmp_path)
+    write_pool(tmp_path / "pool.jsonl",
+               [{"id": f"r{i}", "task": f"t{i % 3}", "confidence": 0.1 + 0.08 * i} for i in range(10)])
+    write_embeddings("emb.bin", np.arange(40, dtype=np.float32).reshape(10, 4))
+    assert main(["score", "--pool", "pool.jsonl", "--output", "scores.jsonl"]) == 0
+    os.symlink("pool.jsonl", "link.jsonl")  # so --pool link.jsonl reads pool.jsonl
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    budget = ["--budget", "3"] if command[0] == "select" else []
+    code = main([command[0], "--pool", pool, "--embeddings", "emb.bin", *command[1:], *budget,
+                 "--output", output])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: output {output} is the same file as input {named}"
+    ]
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

@@ -9,6 +9,11 @@ CHANGES.md; any other change must leave them as they are. The embeddings
 are the float32 rows the sidecar holds, widened to float64 as the
 selectors' kernel widens them. Each strategy's whole CLI manifest is pinned
 on both pools too, less its input paths and its objective trace.
+
+Every input here comes from perfbench/gen.py, the desk pool's one generator,
+which acceptance criterion 7, the benchmark and tools/desk_probe.py use too.
+The token pool is one file that the in-process pins and the CLI pins both
+read.
 """
 
 import hashlib
@@ -17,10 +22,10 @@ import json
 import numpy as np
 import pytest
 
-from desk import desk_arrays, desk_token_probs
+import gen
 from reference import kcenter_sq_radii
 from taskpick.cli import main
-from taskpick.pool import Pool, PromptRecord, save_pool, write_embeddings
+from taskpick.pool import load_pool
 from taskpick.selectors import (
     KernelSpec,
     StrategyConfig,
@@ -156,21 +161,23 @@ def prefixes():
 
     def prefix(seed):
         if seed not in cache:
-            cache[seed] = desk_arrays(seed)[3][:ROWS].astype(np.float64)
+            cache[seed] = gen.desk_arrays(seed)[3][:ROWS].astype(np.float64)
         return cache[seed]
 
     return prefix
 
 
 @pytest.fixture(scope="module")
-def token_pool():
+def token_path(tmp_path_factory):
     """The first TOKEN_ROWS desk ids and tasks, each with a 40 x 5 token trace."""
-    labels, assign, _, _ = desk_arrays(TOKEN_SEED)
-    probs = desk_token_probs(TOKEN_SEED, assign[:TOKEN_ROWS])
-    return Pool(
-        PromptRecord(id=f"p{i:06d}", task=labels[assign[i]], token_probs=probs[i].tolist())
-        for i in range(TOKEN_ROWS)
-    )
+    path = tmp_path_factory.mktemp("token") / "token.jsonl"
+    gen.write_token_pool(path, TOKEN_SEED, TOKEN_ROWS)
+    return path
+
+
+@pytest.fixture(scope="module")
+def token_pool(token_path):
+    return load_pool(token_path)
 
 
 def digest(items) -> str:
@@ -248,18 +255,13 @@ def test_token_pool_selection_is_pinned(strategy, token_pool):
 
 
 @pytest.fixture(scope="module")
-def cli_pools(tmp_path_factory, token_pool):
+def cli_pools(tmp_path_factory, token_path):
     """CLI arguments for the token pool file and the 6K desk prefix with its sidecar."""
     root = tmp_path_factory.mktemp("pinned")
-    save_pool(token_pool, root / "token.jsonl")
-    labels, assign, conf, emb = desk_arrays(TOKEN_SEED)  # the token pool's ids and tasks
-    with open(root / "desk.jsonl", "w", encoding="utf-8") as fh:
-        for i in range(ROWS):
-            record = {"id": f"p{i:06d}", "task": labels[assign[i]], "confidence": float(conf[i])}
-            fh.write(json.dumps(record) + "\n")
-    write_embeddings(root / "desk.bin", emb[:ROWS])
+    # the same seed as the token pool, so both have the same ids and tasks
+    gen.write_desk_pool(root / "desk.jsonl", root / "desk.bin", TOKEN_SEED, rows=ROWS)
     return root, {
-        "token": ("--pool", str(root / "token.jsonl"), "--budget", str(TOKEN_BUDGET)),
+        "token": ("--pool", str(token_path), "--budget", str(TOKEN_BUDGET)),
         "desk": ("--pool", str(root / "desk.jsonl"), "--embeddings", str(root / "desk.bin"),
                  "--budget", "1000"),
     }

@@ -20,6 +20,7 @@ from taskpick.pool import (
     save_pool,
     write_embeddings,
 )
+from taskpick.selectors import select_k_center
 
 
 def write_lines(path, rows):
@@ -568,3 +569,26 @@ def test_integer_embeddings_widen_to_float64():
     matrix = pool.embedding_matrix()
     assert matrix.dtype == np.float64
     assert matrix.tolist() == [[1.0, -2.0], [3.0, 4.0]]
+
+
+def test_embedding_matrix_dtype_follows_its_source(tmp_path, rng):
+    # a sidecar gives float32, and so does Pool(records) of that pool; inline
+    # float ndarrays keep their dtype, integer ones widen, and a pool read
+    # from a file holds float64. The kernel widens every float dtype exactly,
+    # so k-center picks the same points before and after the round trip
+    rows = 4.0 * rng.normal(size=(40, 6))
+    write_embeddings(tmp_path / "emb.bin", rows)
+    ids = write_lines(tmp_path / "ids.jsonl", [{"id": f"r{i}", "task": f"t{i % 3}"} for i in range(40)])
+    from_sidecar = load_pool(ids, str(tmp_path / "emb.bin"))
+    assert from_sidecar.embedding_matrix().dtype == np.float32
+    assert Pool(from_sidecar.records).embedding_matrix().dtype == np.float32
+    for dtype, kept in ((np.float16, np.float16), (np.float32, np.float32),
+                        (np.float64, np.float64), (np.int64, np.float64)):
+        pool = Pool([PromptRecord(id=f"r{i}", task=f"t{i % 3}", embedding=row)
+                     for i, row in enumerate(rows.astype(dtype))])
+        save_pool(pool, tmp_path / "pool.jsonl")
+        again = load_pool(str(tmp_path / "pool.jsonl"))
+        assert (pool.embedding_matrix().dtype, again.embedding_matrix().dtype) == (kept, np.float64)
+        assert np.array_equal(again.embedding_matrix(), pool.embedding_matrix())
+        picks = select_k_center(pool.embedding_matrix(), 12).selected
+        assert select_k_center(again.embedding_matrix(), 12).selected == picks
