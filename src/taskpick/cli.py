@@ -18,10 +18,11 @@ from .pool import load_pool
 from .scoring import read_scores, render_scores, score_pool
 from .selectors import (
     _DEFAULT_KERNELS,
+    _KERNEL_KINDS,
     _SCORED_STRATEGIES,
     STRATEGIES,
-    KernelSpec,
     StrategyConfig,
+    _resolve_kernel,
     run_strategy,
 )
 
@@ -32,10 +33,15 @@ def _check_regular(path: str) -> None:
         raise ConfigError(f"{path} exists and is not a regular file")
 
 
-def _check_not_input(output: str, *inputs) -> None:
+def _check_output(args, cache: str | None = None) -> None:
+    """Before any work: the output and the scores cache, which is both read
+    and written, must be regular files or absent, and the output no input."""
+    output = args.output
+    for path in filter(None, (cache, output)):
+        _check_regular(path)
     # renaming over an input replaces it; a scores cache that does not exist
     # yet can only be compared by its resolved path
-    for path in filter(None, inputs):
+    for path in filter(None, (args.pool, args.embeddings, cache)):
         if os.path.exists(output) and os.path.exists(path):
             same = os.path.samefile(output, path)
         else:
@@ -62,7 +68,7 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def cmd_score(args) -> int:
-    _check_not_input(args.output, args.pool, args.embeddings)
+    _check_output(args)
     pool = load_pool(args.pool, args.embeddings)
     scores = score_pool(pool)
     _atomic_write(args.output, render_scores(pool, scores))
@@ -70,20 +76,9 @@ def cmd_score(args) -> int:
     return 0
 
 
-def _resolve_kernel(args) -> KernelSpec | None:
-    """For a geometric strategy, --kernel or its default kind, with --gamma
-    applied when it is rbf; None, with the flags unchecked, for the others."""
-    if args.strategy not in _DEFAULT_KERNELS:
-        return None
-    kind = args.kernel or _DEFAULT_KERNELS[args.strategy]
-    return KernelSpec(kind, args.gamma if kind == "rbf" else None)
-
-
 def cmd_select(args) -> int:
     cache = args.scores_cache if args.strategy in _SCORED_STRATEGIES else None
-    for path in filter(None, (cache, args.output)):  # before any work: a failed select writes no cache
-        _check_regular(path)
-    _check_not_input(args.output, args.pool, args.embeddings, cache)
+    _check_output(args, cache)  # before any work: a failed select writes no cache
     pool = load_pool(args.pool, args.embeddings)
 
     scores = None
@@ -96,7 +91,7 @@ def cmd_select(args) -> int:
         budget=args.budget,
         seed=args.seed,
         base=args.base_allocation,
-        kernel=_resolve_kernel(args),
+        kernel=_resolve_kernel(args.strategy, args.kernel, args.gamma),
         jitter=args.jitter,
     )
     result = run_strategy(pool, config, scores=scores)
@@ -136,24 +131,16 @@ def build_parser() -> argparse.ArgumentParser:
     select.add_argument("--embeddings", default=None, help="binary embedding sidecar")
     select.add_argument("--strategy", required=True, choices=STRATEGIES)
     select.add_argument("--budget", required=True, type=int, help="number of prompts to select")
-    select.add_argument("--seed", type=int, default=0, help="sampling seed (default: 0)")
-    select.add_argument(
-        "--base-allocation",
-        type=int,
-        default=5,
-        help="per-task floor for weighted_task_diversity (default: 5)",
-    )
-    select.add_argument(
-        "--kernel",
-        choices=("euclidean", "rbf", "cosine"),
-        default=None,
-        help="similarity for geometric strategies; default depends on the strategy"
-        " (k_center/dpp: euclidean, facility_location: rbf)",
-    )
+    select.add_argument("--seed", type=int, default=StrategyConfig.seed,
+                        help="sampling seed (default: %(default)s)")
+    select.add_argument("--base-allocation", type=int, default=StrategyConfig.base,
+                        help="per-task floor for weighted_task_diversity (default: %(default)s)")
+    kernels = ", ".join(f"{name}: {kind}" for name, kind in _DEFAULT_KERNELS.items())
+    select.add_argument("--kernel", choices=_KERNEL_KINDS, help="similarity for geometric strategies;"
+                        f" default depends on the strategy ({kernels})")
     select.add_argument("--gamma", type=float, default=None, help="rbf bandwidth (default: 0.1)")
-    select.add_argument(
-        "--jitter", type=float, default=1e-6, help="dpp diagonal jitter (default: 1e-6)"
-    )
+    select.add_argument("--jitter", type=float, default=StrategyConfig.jitter,
+                        help="dpp diagonal jitter (default: %(default)s)")
     select.add_argument(
         "--scores-cache",
         default=None,

@@ -48,22 +48,16 @@ _JITTER_MARGIN = 1e3
 _KCENTER_BLOCK = 16
 
 UNCERTAINTY_CRITERIA = ("least_confidence", "mean_entropy", "mean_margin", "min_margin")
+# The allocation family: partition -> allocation -> round robin. All but
+# task_diversity weigh the tasks by their mean confidence.
+_ALLOCATION_STRATEGIES = ("task_diversity", "weighted_task_diversity", "active_it")
 # The strategies that read per-example scores; only they use a scores cache.
-_SCORED_STRATEGIES = (*UNCERTAINTY_CRITERIA, "weighted_task_diversity", "active_it")
+_SCORED_STRATEGIES = (*UNCERTAINTY_CRITERIA, *_ALLOCATION_STRATEGIES[1:])
+_KERNEL_KINDS = ("euclidean", "rbf", "cosine")
+# Each geometric strategy's kernel kind when none is given.
+_DEFAULT_KERNELS = {"k_center": "euclidean", "facility_location": "rbf", "dpp": "euclidean"}
 
-STRATEGIES = (
-    "random",
-    "least_confidence",
-    "mean_entropy",
-    "mean_margin",
-    "min_margin",
-    "task_diversity",
-    "weighted_task_diversity",
-    "active_it",
-    "k_center",
-    "facility_location",
-    "dpp",
-)
+STRATEGIES = ("random", *UNCERTAINTY_CRITERIA, *_ALLOCATION_STRATEGIES, *_DEFAULT_KERNELS)
 
 
 @dataclass(frozen=True)
@@ -81,7 +75,7 @@ class KernelSpec:
     gamma: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("euclidean", "rbf", "cosine"):
+        if self.kind not in _KERNEL_KINDS:
             raise InvalidKernel(f"unknown kernel kind {self.kind!r}")
         if self.kind == "rbf" and self.gamma is None:
             object.__setattr__(self, "gamma", 0.1)
@@ -653,8 +647,13 @@ class StrategyConfig:
     jitter: float = 1e-6
 
 
-# Each geometric strategy's kernel kind when none is given.
-_DEFAULT_KERNELS = {"k_center": "euclidean", "facility_location": "rbf", "dpp": "euclidean"}
+def _resolve_kernel(strategy: str, kind: str | None = None, gamma=None) -> KernelSpec | None:
+    """For a geometric strategy, ``kind`` or its default kind, with ``gamma``
+    applied when it is rbf; None, with the arguments unchecked, for the others."""
+    if strategy not in _DEFAULT_KERNELS:
+        return None
+    kind = kind or _DEFAULT_KERNELS[strategy]
+    return KernelSpec(kind, gamma if kind == "rbf" else None)
 
 
 def run_strategy(pool: Pool, config: StrategyConfig, scores=None) -> SelectionResult:
@@ -676,7 +675,7 @@ def run_strategy(pool: Pool, config: StrategyConfig, scores=None) -> SelectionRe
         result = select_random(pool, config.budget, config.seed)
     elif name in UNCERTAINTY_CRITERIA:
         result = select_uncertainty(pool, scores, name, config.budget)
-    elif name in ("task_diversity", "weighted_task_diversity", "active_it"):
+    elif name in _ALLOCATION_STRATEGIES:
         task_conf = None if name == "task_diversity" else task_mean_confidence(pool, scores)
         if name == "task_diversity":
             alloc = allocate_task_diversity(part.counts, config.budget)
@@ -689,7 +688,7 @@ def run_strategy(pool: Pool, config: StrategyConfig, scores=None) -> SelectionRe
         if name == "weighted_task_diversity":
             result.params["base"] = config.base
     else:
-        kernel = config.kernel if config.kernel is not None else KernelSpec(_DEFAULT_KERNELS[name])
+        kernel = config.kernel or _resolve_kernel(name)
         embeddings = pool.embedding_matrix()
         if name == "k_center":
             result = select_k_center(embeddings, config.budget, kernel)

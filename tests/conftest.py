@@ -1,7 +1,15 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import taskpick
 from taskpick.pool import Pool, PromptRecord
+
+SRC = os.path.dirname(os.path.dirname(taskpick.__file__))
 
 
 def make_pool(task_sizes, confidences=None, embeddings=None, token_probs=None):
@@ -19,6 +27,25 @@ def make_pool(task_sizes, confidences=None, embeddings=None, token_probs=None):
             )
         )
     return Pool(records)
+
+
+def write_pool(path, rows):
+    """Write ``rows`` as JSON lines to ``path``; return it as a string."""
+    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    return str(path)
+
+
+def conf_of(values):
+    return np.asarray(values, dtype=np.float64)
+
+
+def run_python(*args, env=None, timeout=None, check=False):
+    """Run ``python *args`` in a fresh process on this checkout: its ``src``
+    goes ahead of any PYTHONPATH, and ``env`` adds variables."""
+    env = {**os.environ, **(env or {})}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=timeout, check=check)
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import gen
-from conftest import make_pool
+from conftest import conf_of, make_pool
 from oracles import oracle_greedy_step, oracle_kcenter_radius, oracle_minmax_allocation
 from reference import (
     bisect_weighted_alpha,
@@ -49,10 +49,6 @@ def _report(number: int, label: str, started: float, limit: float) -> None:
     elapsed = time.perf_counter() - started
     print(f"\n[acceptance] criterion {number} PASS ({elapsed:.1f}s of {limit:.0f}s): {label}")
     assert elapsed < limit, f"criterion {number} exceeded its {limit:.0f}s runtime budget"
-
-
-def conf_of(values):
-    return np.asarray(values, dtype=np.float64)
 
 
 def test_criterion_1_minmax_allocation_optimality():

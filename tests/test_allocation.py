@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import conf_of
 from oracles import oracle_minmax_allocation
 from reference import bisect_weighted_alpha, loop_active_it, loop_water_fill
 from taskpick.allocation import (
@@ -10,10 +11,6 @@ from taskpick.allocation import (
     ceil_allocation,
 )
 from taskpick.errors import ConfigError, InvalidBudget, NoTasks
-
-
-def conf_of(values):
-    return np.asarray(values, dtype=np.float64)
 
 
 class TestTaskDiversity:

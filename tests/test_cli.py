@@ -1,21 +1,19 @@
+import inspect
 import json
 import os
 import stat
-import subprocess
-import sys
 import warnings
 
 import numpy as np
 import pytest
 
 import taskpick
-from taskpick.cli import main
-from taskpick.pool import write_embeddings
-
-
-def write_pool(path, rows):
-    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-    return str(path)
+from conftest import run_python, write_pool
+from taskpick import cli
+from taskpick.allocation import allocate_weighted
+from taskpick.cli import build_parser, main
+from taskpick.pool import load_pool, write_embeddings
+from taskpick.selectors import _SCORED_STRATEGIES, StrategyConfig, select_dpp
 
 
 def toy_pool(tmp_path):
@@ -773,10 +771,8 @@ def test_report_output_is_pinned(tmp_path, capsys, name):
 def test_importing_the_cli_leaves_numpy_random_unloaded():
     # numpy imports numpy.random on first use, at 10 ms or more; a command
     # that draws no random numbers should not pay for it at import
-    src = os.path.dirname(os.path.dirname(taskpick.__file__))
     code = "import sys, taskpick.cli; print('numpy.random' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = run_python("-c", code, check=True)
     assert out.stdout == "False\n"
 
 
@@ -794,9 +790,7 @@ def test_output_path_that_is_a_directory_leaves_no_temp_file(tmp_path, capsys):
 
 def run_module(*args, timeout=60):
     """Run ``python -m taskpick.cli`` on ``args`` against this checkout."""
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(taskpick.__file__))}
-    return subprocess.run([sys.executable, "-m", "taskpick.cli", *args], env=env,
-                          capture_output=True, text=True, timeout=timeout)
+    return run_python("-m", "taskpick.cli", *args, timeout=timeout)
 
 
 def test_every_strategy_round_trips_through_report(tmp_path, capsys):
@@ -851,14 +845,21 @@ def test_deeply_nested_json_is_one_error_line(tmp_path, capsys, depth):
                                      ["select", "--strategy", "least_confidence", "--budget", "2",
                                       "--scores-cache", "new-cache.jsonl"]])
 def test_output_path_that_is_a_fifo_is_refused(tmp_path, capsys, monkeypatch, command):
-    # no temp file is left and, as for any failed select, no new cache written
+    # a FIFO or a directory is refused before the pool is read; no temp file
+    # is left and, as for any failed select, no new cache written
     monkeypatch.chdir(tmp_path)
+    pool = toy_pool(tmp_path)
+    loads = []
+    monkeypatch.setattr(cli, "load_pool", lambda *args: loads.append(args) or load_pool(*args))
     os.mkfifo("out")
-    code = main([command[0], "--pool", toy_pool(tmp_path), *command[1:], "--output", "out"])
-    assert code == 1
-    assert capsys.readouterr().err.splitlines() == ["error: out exists and is not a regular file"]
-    assert stat.S_ISFIFO(os.stat("out").st_mode)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "pool.jsonl"]
+    os.mkdir("dir")
+    for output in ("out", "dir"):
+        code = main([command[0], "--pool", pool, *command[1:], "--output", output])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {output} exists and is not a regular file"]
+    assert loads == []
+    assert stat.S_ISFIFO(os.stat("out").st_mode) and not any(os.scandir("dir"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "out", "pool.jsonl"]
 
 
 def test_scores_cache_that_is_a_fifo_is_refused_without_blocking(tmp_path):
@@ -904,3 +905,22 @@ def test_output_that_names_an_input_is_refused(tmp_path, capsys, monkeypatch, po
         f"error: output {output} is the same file as input {named}"
     ]
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_strategy_table_and_defaults_are_the_library_s():
+    # argparse's choices are STRATEGIES, in this order; the flags' defaults are
+    # StrategyConfig's, and so are the two public signatures' own literals
+    assert taskpick.STRATEGIES == (
+        "random", "least_confidence", "mean_entropy", "mean_margin", "min_margin", "task_diversity",
+        "weighted_task_diversity", "active_it", "k_center", "facility_location", "dpp",
+    )
+    assert _SCORED_STRATEGIES == (
+        "least_confidence", "mean_entropy", "mean_margin", "min_margin",
+        "weighted_task_diversity", "active_it",
+    )
+    config = StrategyConfig("random", 1)
+    args = build_parser().parse_args(["select", "--pool", "p", "--strategy", "random", "--budget", "1",
+                                      "--output", "o"])
+    assert (args.seed, args.base_allocation, args.jitter) == (config.seed, config.base, config.jitter)
+    assert inspect.signature(select_dpp).parameters["jitter"].default == config.jitter
+    assert inspect.signature(allocate_weighted).parameters["base"].default == config.base

@@ -1,9 +1,9 @@
 import hashlib
-import json
 
 import numpy as np
 import pytest
 
+from conftest import write_pool
 from taskpick.errors import (
     DuplicateId,
     MissingEmbedding,
@@ -23,13 +23,8 @@ from taskpick.pool import (
 from taskpick.selectors import select_k_center
 
 
-def write_lines(path, rows):
-    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-    return str(path)
-
-
 def test_grouping_three_records(tmp_path):
-    path = write_lines(
+    path = write_pool(
         tmp_path / "pool.jsonl",
         [
             {"id": "x1", "task": "a"},
@@ -46,7 +41,7 @@ def test_grouping_three_records(tmp_path):
 
 
 def test_embedding_length_mismatch(tmp_path):
-    path = write_lines(
+    path = write_pool(
         tmp_path / "pool.jsonl",
         [
             {"id": "x1", "task": "a", "embedding": [1.0, 2.0, 3.0, 4.0]},
@@ -63,7 +58,7 @@ def test_dolly_shaped_pool_has_eight_tasks(tmp_path):
     for t in range(8):
         for i in range(t + 1):
             rows.append({"id": f"d{t}-{i}", "task": f"category_{t}"})
-    pool = load_pool(write_lines(tmp_path / "pool.jsonl", rows))
+    pool = load_pool(write_pool(tmp_path / "pool.jsonl", rows))
     assert len(pool.partition.tasks) == 8
 
 
@@ -101,7 +96,7 @@ def test_labels_differing_by_trailing_nul_stay_apart():
 
 
 def test_duplicate_id(tmp_path):
-    path = write_lines(
+    path = write_pool(
         tmp_path / "pool.jsonl",
         [{"id": "same", "task": "a"}, {"id": "same", "task": "b"}],
     )
@@ -117,13 +112,13 @@ def test_malformed_line_reports_line_number(tmp_path):
 
 
 def test_missing_required_field_is_parse_error(tmp_path):
-    path = write_lines(tmp_path / "pool.jsonl", [{"id": "x"}])
+    path = write_pool(tmp_path / "pool.jsonl", [{"id": "x"}])
     with pytest.raises(ParseError, match="task"):
         load_pool(path)
 
 
 def test_probability_out_of_range(tmp_path):
-    path = write_lines(
+    path = write_pool(
         tmp_path / "pool.jsonl",
         [{"id": "x", "task": "a", "token_probs": [[1.2, 0.1]]}],
     )
@@ -132,7 +127,7 @@ def test_probability_out_of_range(tmp_path):
 
 
 def test_probabilities_must_be_non_increasing(tmp_path):
-    path = write_lines(
+    path = write_pool(
         tmp_path / "pool.jsonl",
         [{"id": "x", "task": "a", "token_probs": [[0.3, 0.5]]}],
     )
@@ -141,7 +136,7 @@ def test_probabilities_must_be_non_increasing(tmp_path):
 
 
 def test_position_needs_two_entries(tmp_path):
-    path = write_lines(
+    path = write_pool(
         tmp_path / "pool.jsonl",
         [{"id": "x", "task": "a", "token_probs": [[0.9]]}],
     )
@@ -171,7 +166,7 @@ def test_blank_lines_are_skipped(tmp_path):
 
 def test_load_is_order_stable(tmp_path):
     rows = [{"id": f"r{i}", "task": f"t{i % 4}"} for i in range(20)]
-    pool = load_pool(write_lines(tmp_path / "pool.jsonl", rows))
+    pool = load_pool(write_pool(tmp_path / "pool.jsonl", rows))
     assert list(pool.ids()) == [r["id"] for r in rows]
 
 
@@ -199,7 +194,7 @@ def test_round_trip_inline(tmp_path):
             "token_probs": [[0.9, 0.05], [0.8, 0.1]],
         },
     ]
-    pool = load_pool(write_lines(tmp_path / "pool.jsonl", rows))
+    pool = load_pool(write_pool(tmp_path / "pool.jsonl", rows))
     out = tmp_path / "copy.jsonl"
     save_pool(pool, out)
     again = load_pool(str(out))
@@ -217,7 +212,7 @@ def test_round_trip_sidecar(tmp_path, rng):
     sidecar = tmp_path / "emb.bin"
     write_embeddings(sidecar, matrix)
     rows = [{"id": f"r{i}", "task": f"t{i % 2}"} for i in range(7)]
-    pool = load_pool(write_lines(tmp_path / "pool.jsonl", rows), str(sidecar))
+    pool = load_pool(write_pool(tmp_path / "pool.jsonl", rows), str(sidecar))
 
     out_pool = tmp_path / "copy.jsonl"
     out_emb = tmp_path / "copy.bin"
@@ -240,7 +235,7 @@ def test_sidecar_header_round_trip(tmp_path, rng):
 
 def test_sidecar_row_count_mismatch(tmp_path, rng):
     write_embeddings(tmp_path / "emb.bin", rng.normal(size=(3, 2)).astype(np.float32))
-    path = write_lines(tmp_path / "pool.jsonl", [{"id": "a", "task": "t"}])
+    path = write_pool(tmp_path / "pool.jsonl", [{"id": "a", "task": "t"}])
     with pytest.raises(ShapeError):
         load_pool(path, str(tmp_path / "emb.bin"))
 
@@ -256,7 +251,7 @@ def test_sidecar_truncated(tmp_path, rng):
 def test_inline_and_sidecar_are_exclusive(tmp_path, rng):
     sidecar = tmp_path / "emb.bin"
     write_embeddings(sidecar, rng.normal(size=(1, 2)).astype(np.float32))
-    path = write_lines(
+    path = write_pool(
         tmp_path / "pool.jsonl", [{"id": "a", "task": "t", "embedding": [1.0, 2.0]}]
     )
     with pytest.raises(ValidationError):
@@ -268,7 +263,7 @@ def test_embeddings_are_immutable(tmp_path, rng):
     sidecar = tmp_path / "emb.bin"
     write_embeddings(sidecar, matrix)
     pool = load_pool(
-        write_lines(tmp_path / "p.jsonl", [{"id": "a", "task": "t"}, {"id": "b", "task": "t"}]),
+        write_pool(tmp_path / "p.jsonl", [{"id": "a", "task": "t"}, {"id": "b", "task": "t"}]),
         str(sidecar),
     )
     with pytest.raises(ValueError):
@@ -351,7 +346,7 @@ def test_nan_confidence_is_rejected_not_absent(tmp_path):
 def test_validation_names_first_failing_record(tmp_path, rows, error, message):
     path = tmp_path / "pool.jsonl"
     with pytest.raises(error, match=message):
-        load_pool(write_lines(tmp_path / "pool.jsonl", rows))
+        load_pool(write_pool(tmp_path / "pool.jsonl", rows))
 
 
 def test_records_view_rebuilds_an_equal_pool(tmp_path):
@@ -360,7 +355,7 @@ def test_records_view_rebuilds_an_equal_pool(tmp_path):
         {"id": "b", "task": "t0", "embedding": [1.0, 2.0], "token_probs": [[0.9, 0.05], [0.8, 0.1]]},
         {"id": "c", "task": "t1", "embedding": [3.0, 4.0], "token_probs": [[0.6, 0.4, 0.0]]},
     ]
-    pool = load_pool(write_lines(tmp_path / "pool.jsonl", rows))
+    pool = load_pool(write_pool(tmp_path / "pool.jsonl", rows))
     again = Pool(pool.records)
     assert again.ids() == pool.ids()
     assert np.array_equal(again.partition.codes, pool.partition.codes)
@@ -421,7 +416,7 @@ def test_library_and_file_pools_reject_the_same_records(tmp_path, fields, messag
     assert str(library.value) == f"record 0: {message}"
 
     line = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in record.items()}
-    path = write_lines(tmp_path / "pool.jsonl", [line, valid])
+    path = write_pool(tmp_path / "pool.jsonl", [line, valid])
     with pytest.raises(TaskpickError) as file:
         load_pool(path)
     assert type(file.value) is type(library.value)
@@ -450,7 +445,7 @@ def test_a_trace_failing_two_checks_gets_each_readers_first_error(tmp_path):
     with pytest.raises(ParseError) as library:
         Pool([PromptRecord(id="a", task="t", token_probs=trace)])
     assert str(library.value) == "record 0: 'token_probs' must be an array of arrays of numbers"
-    path = write_lines(tmp_path / "pool.jsonl", [{"id": "a", "task": "t", "token_probs": trace}])
+    path = write_pool(tmp_path / "pool.jsonl", [{"id": "a", "task": "t", "token_probs": trace}])
     with pytest.raises(ParseError) as file:
         load_pool(path)
     assert str(file.value) == f"{path}:1: integer of 401 digits does not fit a float"
@@ -527,7 +522,7 @@ PINNED_TRACE_COLUMNS = {
 
 
 def test_trace_columns_are_pinned_for_file_and_library_pools(tmp_path):
-    pool = load_pool(write_lines(tmp_path / "pool.jsonl", _mixed_trace_rows()))
+    pool = load_pool(write_pool(tmp_path / "pool.jsonl", _mixed_trace_rows()))
     for built in (pool, Pool(pool.records)):
         digests = {name: hashlib.sha256(getattr(built, name).tobytes()).hexdigest()[:16]
                    for name in PINNED_TRACE_COLUMNS}
@@ -535,7 +530,7 @@ def test_trace_columns_are_pinned_for_file_and_library_pools(tmp_path):
 
 
 def test_json_line_that_is_not_an_object(tmp_path):
-    path = write_lines(tmp_path / "pool.jsonl", [{"id": "a", "task": "t"}, [1, 2]])
+    path = write_pool(tmp_path / "pool.jsonl", [{"id": "a", "task": "t"}, [1, 2]])
     with pytest.raises(ParseError, match=r"pool\.jsonl:2: record is not an object$"):
         load_pool(path)
 
@@ -578,7 +573,7 @@ def test_embedding_matrix_dtype_follows_its_source(tmp_path, rng):
     # so k-center picks the same points before and after the round trip
     rows = 4.0 * rng.normal(size=(40, 6))
     write_embeddings(tmp_path / "emb.bin", rows)
-    ids = write_lines(tmp_path / "ids.jsonl", [{"id": f"r{i}", "task": f"t{i % 3}"} for i in range(40)])
+    ids = write_pool(tmp_path / "ids.jsonl", [{"id": f"r{i}", "task": f"t{i % 3}"} for i in range(40)])
     from_sidecar = load_pool(ids, str(tmp_path / "emb.bin"))
     assert from_sidecar.embedding_matrix().dtype == np.float32
     assert Pool(from_sidecar.records).embedding_matrix().dtype == np.float32

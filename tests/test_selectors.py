@@ -1,13 +1,11 @@
 import json
 import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import make_pool
+from conftest import make_pool, run_python
 from oracles import oracle_kcenter_radius
 from reference import (
     dpp_exact_residuals,
@@ -702,13 +700,10 @@ print(json.dumps([
 
 
 def test_selections_do_not_depend_on_blas_threads():
-    src = os.path.dirname(os.path.dirname(selectors.__file__))
     picks = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-        out = subprocess.run([sys.executable, "-c", _THREAD_SCRIPT], env=env, check=True,
-                             capture_output=True, text=True, timeout=300)
+        env = {"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        out = run_python("-c", _THREAD_SCRIPT, env=env, check=True, timeout=300)
         picks.append(json.loads(out.stdout))
     assert picks[0] == picks[1]
 
@@ -808,10 +803,7 @@ class TestKernelMemory:
         # float32 points, then a one-column pass over every row as an index
         # array, and one column: the peak may rise by the N x 66 float64 rows
         # plus 8 MiB, so by no float64 copy, N x d temporary or N-row gather
-        src = os.path.dirname(os.path.dirname(selectors.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-        out = subprocess.run([sys.executable, "-c", _MEMORY_SCRIPT, str(n)], env=env, check=True,
-                             capture_output=True, text=True, timeout=300)
+        out = run_python("-c", _MEMORY_SCRIPT, str(n), check=True, timeout=300)
         assert int(out.stdout) <= n * 66 * 8 + (8 << 20)
 
     @pytest.mark.parametrize("strategy, kind, budget", STATED_PEAKS)
@@ -820,11 +812,8 @@ class TestKernelMemory:
         # runtime's share: OpenBLAS's work buffers, which the first level-3
         # call touches, and free memory the allocator keeps
         n = 30_000
-        src = os.path.dirname(os.path.dirname(selectors.__file__))
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-        out = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT, strategy, kind, str(budget), str(n)],
-                             env=env, check=True, capture_output=True, text=True, timeout=300)
+        out = run_python("-c", _PEAK_SCRIPT, strategy, kind, str(budget), str(n),
+                         env={"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, check=True, timeout=300)
         rise, warnings = json.loads(out.stdout)
         assert rise <= STATED_PEAKS[strategy, kind, budget](n, 64, budget) + (4 << 20)
         if strategy == "dpp" and kind != "rbf":

@@ -4,6 +4,7 @@ Usage, from a taskpick checkout:
 
     PYTHONPATH=src python tools/desk_probe.py facility_location --kernel rbf --gamma 0.002
     PYTHONPATH=src python tools/desk_probe.py dpp --kernel euclidean --budget 1000
+    PYTHONPATH=src python tools/desk_probe.py dpp --kernel cosine
     PYTHONPATH=src python tools/desk_probe.py k_center --budget 30000
 
 k-center always runs on the euclidean kernel, and the probe refuses any other
@@ -41,6 +42,7 @@ sys.path.insert(0, PERFBENCH)
 
 from gen import record_id  # noqa: E402
 from taskpick.selectors import (  # noqa: E402
+    _KERNEL_KINDS,
     KernelSpec,
     select_dpp,
     select_facility_location,
@@ -61,7 +63,7 @@ def max_rss_mib() -> float:
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("strategy", choices=SELECTORS)
-    parser.add_argument("--kernel", choices=("rbf", "euclidean"))
+    parser.add_argument("--kernel", choices=_KERNEL_KINDS)
     parser.add_argument("--gamma", type=float, default=None)
     parser.add_argument("--budget", type=int, default=1_000)
     args = parser.parse_args(argv)
