@@ -321,13 +321,14 @@ def _not_utf8(path, exc: UnicodeDecodeError) -> ParseError:
 
 
 def _json_lines(path):
-    """Yield (line number, parsed value, whether the line holds a bool literal)
+    """Yield ("path:line", parsed value, whether the line holds a bool literal)
     for each non-blank line of a JSON Lines file."""
     with open(path, encoding="utf-8") as fh:
         try:
             for line_no, line in enumerate(fh, start=1):
                 if line.strip():
-                    yield line_no, _parse_json(line, f"{path}:{line_no}"), "true" in line or "false" in line
+                    where = f"{path}:{line_no}"
+                    yield where, _parse_json(line, where), "true" in line or "false" in line
         except UnicodeDecodeError as exc:
             raise _not_utf8(path, exc) from exc
 
@@ -339,10 +340,7 @@ def load_pool(pool_path, embeddings_path=None) -> Pool:
     line index (blank lines are skipped).
     """
     pool = Pool.__new__(Pool)
-    pool._adopt(
-        ((f"{pool_path}:{line_no}", obj, typed) for line_no, obj, typed in _json_lines(pool_path)),
-        embeddings_path,
-    )
+    pool._adopt(_json_lines(pool_path), embeddings_path)
     return pool
 
 

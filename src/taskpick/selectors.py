@@ -9,7 +9,6 @@ depend on how many other tasks exist or in which order they are visited.
 All argmax reductions break ties toward the lowest index.
 """
 
-import hashlib
 import math
 import os
 from dataclasses import dataclass, field
@@ -106,6 +105,8 @@ def _check_seed(seed: int) -> None:
 
 
 def _label_key(label: str) -> int:
+    import hashlib  # OpenSSL starts in 3-5 ms; only round robin's streams hash
+
     return int.from_bytes(hashlib.blake2b(label.encode("utf-8"), digest_size=8).digest(), "little")
 
 

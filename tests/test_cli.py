@@ -1,6 +1,8 @@
+import gc
 import inspect
 import json
 import os
+import re
 import stat
 import warnings
 
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 import taskpick
-from conftest import run_python, write_pool
+from conftest import SRC, run_python, write_pool
 from taskpick import cli
 from taskpick.allocation import allocate_weighted
 from taskpick.cli import build_parser, main
@@ -768,10 +770,12 @@ def test_report_output_is_pinned(tmp_path, capsys, name):
     assert capsys.readouterr().out == REPORT_PINS[name]
 
 
-def test_importing_the_cli_leaves_numpy_random_unloaded():
-    # numpy imports numpy.random on first use, at 10 ms or more; a command
-    # that draws no random numbers should not pay for it at import
-    code = "import sys, taskpick.cli; print('numpy.random' in sys.modules)"
+@pytest.mark.parametrize("module", ["numpy.random", "hashlib", "_hashlib"])
+def test_importing_the_cli_leaves_numpy_random_and_hashlib_unloaded(module):
+    # numpy imports numpy.random on first use, at 10 ms or more, and hashlib
+    # starts OpenSSL in 3-5 ms; a command that draws no random numbers, or
+    # hashes no task label, should not pay for either at import
+    code = f"import sys, taskpick.cli; print({module!r} in sys.modules)"
     out = run_python("-c", code, check=True)
     assert out.stdout == "False\n"
 
@@ -796,6 +800,7 @@ def run_module(*args, timeout=60):
 def test_every_strategy_round_trips_through_report(tmp_path, capsys):
     pool, sidecar = report_pool(tmp_path)
     warned = set()
+    collector = gc.get_freeze_count(), gc.isenabled()
     for strategy in taskpick.STRATEGIES:
         manifest = tmp_path / f"{strategy}.json"
         assert main(["select", "--pool", pool, "--embeddings", sidecar, "--strategy", strategy,
@@ -811,6 +816,8 @@ def test_every_strategy_round_trips_through_report(tmp_path, capsys):
         ]
         warned.update([strategy] if written["warnings"] else [])
     assert warned == {"weighted_task_diversity", "dpp"}  # floors over budget; a rank-4 kernel
+    # only the process entry point freezes the collector, never main
+    assert (gc.get_freeze_count(), gc.isenabled()) == collector
 
     # a successful select writes nothing to stderr, so importing the package
     # does not import taskpick.cli ahead of runpy
@@ -819,6 +826,19 @@ def test_every_strategy_round_trips_through_report(tmp_path, capsys):
                      "--output", str(manifest))
     assert (run.returncode, run.stderr) == (0, "")
     assert json.loads(manifest.read_text())["warnings"] == []
+    # neither entry point, -m or the console script's target, loses a line
+    # main prints; the script's atexit handler still runs, and finds the
+    # collector frozen
+    assert main(["report", str(manifest)]) == 0
+    printed = capsys.readouterr().out
+    with open(os.path.join(os.path.dirname(SRC), "pyproject.toml"), encoding="utf-8") as fh:
+        module, function = re.search(r'^taskpick = "(.+):(.+)"$', fh.read(), re.M).groups()
+    script = ("import atexit, gc, sys; atexit.register(lambda: print(gc.get_freeze_count() > 0,"
+              f" file=sys.stderr)); from {module} import {function}; sys.exit({function}())")
+    run = run_module("report", str(manifest))
+    assert (run.returncode, run.stdout, run.stderr) == (0, printed, "")
+    run = run_python("-c", script, "report", str(manifest))
+    assert (run.returncode, run.stdout, run.stderr) == (0, printed, "True\n")
 
 
 @pytest.mark.parametrize("depth", [995, 100_000])

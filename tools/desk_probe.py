@@ -8,7 +8,9 @@ Usage, from a taskpick checkout:
     PYTHONPATH=src python tools/desk_probe.py k_center --budget 30000
 
 k-center always runs on the euclidean kernel, and the probe refuses any other
-``--kernel`` for it; facility location and DPP default to rbf.
+``--kernel`` for it. The kernel is resolved as ``taskpick select`` resolves it:
+facility location defaults to rbf and DPP to euclidean, ``--gamma`` applies to
+rbf only, and the JSON echoes the kernel and gamma the selector ran with.
 
 The inputs are ``perfbench/gen.py``'s desk embeddings at seed 707 (90K x 64
 float32), the same rows criterion 7 reads back from its sidecar, widened to
@@ -43,7 +45,7 @@ sys.path.insert(0, PERFBENCH)
 from gen import record_id  # noqa: E402
 from taskpick.selectors import (  # noqa: E402
     _KERNEL_KINDS,
-    KernelSpec,
+    _resolve_kernel,
     select_dpp,
     select_facility_location,
     select_k_center,
@@ -67,11 +69,10 @@ def main(argv=None) -> None:
     parser.add_argument("--gamma", type=float, default=None)
     parser.add_argument("--budget", type=int, default=1_000)
     args = parser.parse_args(argv)
-    if args.strategy == "k_center":
-        if args.kernel not in (None, "euclidean") or args.gamma is not None:
-            parser.error("k_center uses the euclidean kernel only")
-        args.kernel = "euclidean"
-    args.kernel = args.kernel or "rbf"
+    if args.strategy == "k_center" and (args.kernel not in (None, "euclidean") or args.gamma is not None):
+        parser.error("k_center uses the euclidean kernel only")
+    # as the CLI resolves it: the strategy's default kind, gamma for rbf only
+    kernel = _resolve_kernel(args.strategy, args.kernel, args.gamma)
 
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/emb707.npy"
@@ -81,11 +82,11 @@ def main(argv=None) -> None:
         embeddings = np.load(path).astype(np.float64)
     before = max_rss_mib()
     started = time.perf_counter()
-    result = SELECTORS[args.strategy](embeddings, args.budget, KernelSpec(args.kernel, args.gamma))
+    result = SELECTORS[args.strategy](embeddings, args.budget, kernel)
     seconds = time.perf_counter() - started
     trace = result.objective_trace
     print(json.dumps({
-        "strategy": args.strategy, "kernel": args.kernel, "gamma": args.gamma,
+        "strategy": args.strategy, "kernel": kernel.kind, "gamma": kernel.gamma,
         "budget": args.budget,
         "ids_digest": digest(record_id(i) for i in result.selected),
         "stats": result.stats,
