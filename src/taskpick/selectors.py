@@ -230,8 +230,9 @@ class _ColumnKernel:
     cosine, in place; ``points`` and ``sq_norms`` are views of it. A row
     times _right(y) = [2y, -1, -|y|^2] is -|x - y|^2, and times [y, 0, 0]
     (cosine) x.y, so every kernel value is one product. ``columns``,
-    ``column_sums`` and ``clipped_sums`` return arrays of their own; the
-    last two walk K one scratch tile of at most _TILE_FLOATS at a time.
+    ``closed_sums``, ``column_sums`` and ``clipped_sums`` return arrays of
+    their own; the last two walk K one scratch tile of at most _TILE_FLOATS
+    at a time.
     ``entries`` counts the kernel values computed so far.
     """
 
@@ -293,9 +294,19 @@ class _ColumnKernel:
         block, from one matrix product that reads the rows once."""
         return self._finish(self._right(cols).T @ self.rows.T)
 
+    def closed_sums(self) -> np.ndarray:
+        """Every column sum of the euclidean or cosine K in closed form, in
+        O(N d): -(N |c|^2 + sum |x|^2 - 2 c.sum x), or c.sum x on the
+        normalised points."""
+        dots = self.points @ self.points.sum(axis=0)
+        if self.spec.kind == "cosine":
+            return dots
+        return -(self.n * self.sq_norms + self.sq_norms.sum() - 2.0 * dots)
+
     def column_sums(self) -> tuple[np.ndarray, float]:
         """Every column sum of K and its smallest entry, from the tiles K[A, B]
-        with B >= A, each summed along both axes, as K is symmetric."""
+        with B >= A, each summed along both axes, as K is symmetric; rbf has
+        no closed form."""
         side = math.isqrt(_TILE_FLOATS)
         sums = np.zeros(self.n)
         low = np.inf
@@ -350,7 +361,7 @@ def select_k_center(embeddings, budget: int, kernel: KernelSpec | None = None) -
     it decides which columns are computed together, never a pick, and a
     larger budget still holds every smaller one. ``stats`` counts the
     kernel entries, the blocks (products over the rows) and the picks that
-    had a near tie.
+    had a near tie, which a warning names with the step of the first.
 
     Peak memory is the kernel's plus 144 N bytes: the distances, a block of
     8 _KCENTER_BLOCK N bytes, and either the block's N partition indices or
@@ -360,11 +371,12 @@ def select_k_center(embeddings, budget: int, kernel: KernelSpec | None = None) -
         raise InvalidKernel("k-center supports the euclidean kernel only")
     _check_budget(budget)
     kern = _ColumnKernel(embeddings, KernelSpec("euclidean"))
-    points, sq_norms, n = kern.points, kern.sq_norms, kern.n
+    n = kern.n
     k = min(budget, n)
 
     # the medoid, from each point's total squared distance to the rest
-    nxt, ties = _lowest_near_max(-(n * sq_norms + sq_norms.sum() - 2.0 * (points @ points.sum(axis=0))))
+    nxt, tied = _lowest_near_max(kern.closed_sums())
+    ties = [0] if tied else []  # the steps of the picks that had a near tie
 
     def distance_block(pick: int) -> dict:
         """Distance columns of ``pick`` and the other points farthest from
@@ -389,15 +401,16 @@ def select_k_center(embeddings, budget: int, kernel: KernelSpec | None = None) -
         if len(selected) == k:
             break
         nxt, tied = _lowest_near_max(min_dist)
-        ties += tied
+        if tied:
+            ties.append(len(selected))
 
     return SelectionResult(
         selected=selected,
         strategy="k_center",
         params={"budget": budget, "kernel": "euclidean"},
         objective_trace=trace,
-        warnings=_cap_note(budget, n, "number of points"),
-        stats={"kernel_entries": kern.entries, "column_blocks": blocks, "near_tie_picks": int(ties)},
+        warnings=_cap_note(budget, n, "number of points") + _near_tie_note(ties),
+        stats={"kernel_entries": kern.entries, "column_blocks": blocks, "near_tie_picks": len(ties)},
     )
 
 
@@ -413,6 +426,14 @@ def _lowest_near_max(values: np.ndarray) -> tuple[int, bool]:
     near = values >= top - _TIE_RTOL * abs(top)
     pos = int(np.argmax(near))
     return pos, bool(near[pos + 1 :].any())
+
+
+def _near_tie_note(steps: list[int]) -> list[str]:
+    """The warning for the picks, by step, that had a near tie: the first and the total."""
+    if not steps:
+        return []
+    return [f"near-tie picks: {len(steps)}, the first at step {steps[0]}; each went to the lowest"
+            f" index within {_TIE_RTOL:g} (relative) of the best"]
 
 
 def select_facility_location(embeddings, budget: int, kernel: KernelSpec) -> SelectionResult:
@@ -432,8 +453,9 @@ def select_facility_location(embeddings, budget: int, kernel: KernelSpec) -> Sel
     center steals, which needs only the kernel between the captured points
     and the front, so near ties (thousands of candidates within rounding
     of the best gain) do not force full column recomputes at every step.
-    Other values are upper bounds: the column-sum seed, or the exact gain
-    at demotion, which submodularity keeps valid. Before each pick, stale
+    Other values are upper bounds: the column-sum seed (+inf but for rbf,
+    the one kernel without closed-form column sums), or the exact gain at
+    demotion, which submodularity keeps valid. Before each pick, stale
     candidates whose bound reaches the front's tie window get their exact
     gain and join the front, in batches growing to _FRONT_CAP; past
     _FRONT_CAP members the cold half goes stale. A pick's value becomes
@@ -441,7 +463,8 @@ def select_facility_location(embeddings, budget: int, kernel: KernelSpec) -> Sel
     not do, as an empty front puts the window's floor at -inf too.
 
     ``stats`` counts the work: kernel entries computed, exact gain
-    evaluations, candidates demoted from the front, and near-tie picks.
+    evaluations, candidates demoted from the front, and near-tie picks,
+    which a warning names with the step of the first.
 
     Peak memory is the kernel's plus 65 N bytes: the column sums, gains,
     best values and ``front``, and five N-vectors if a pick captures all.
@@ -450,18 +473,22 @@ def select_facility_location(embeddings, budget: int, kernel: KernelSpec) -> Sel
     cols = _ColumnKernel(embeddings, kernel)
     n = cols.n
     k = min(budget, n)
-    col_sums, low = cols.column_sums()
+    # rbf's column sums walk K; euclidean and cosine have closed forms and
+    # take -inf for the smallest entry, as the seed bound that the true one
+    # gives them never ruled a candidate out
+    col_sums, low = cols.column_sums() if kernel.kind == "rbf" else (cols.closed_sums(), -np.inf)
     first, tied = _lowest_near_max(col_sums)
     best = cols.columns([first])[0]
     selected = [first]
     trace = [float(best.sum())]
-    stats = {"gain_evaluations": 0, "front_demotions": 0, "near_tie_picks": int(tied)}
+    ties = [0] if tied else []  # the steps of the picks that had a near tie
+    stats = {"gain_evaluations": 0, "front_demotions": 0}
 
     # The seed bound needs no second kernel pass: every term
     # max(K(i,c) - best_i, 0) is at most K(i,c) - low, so the gain is at
-    # most col_sums[c] - n * low. The relative slack keeps it above the
-    # exact gains when the two are rounded differently (they sum in other
-    # orders, over tiles of other shapes).
+    # most col_sums[c] - n * low (+inf for low = -inf). The relative slack
+    # keeps it above the exact gains when the two are rounded differently
+    # (they sum in other orders, over tiles of other shapes).
     gain = col_sums - n * low
     gain += 1e-9 * (np.abs(col_sums) + n * abs(low))
     gain[first] = np.nan
@@ -486,7 +513,8 @@ def select_facility_location(embeddings, budget: int, kernel: KernelSpec) -> Sel
 
         # members is index-sorted, so its first near-max is the lowest index
         pos, tied = _lowest_near_max(gain[members])
-        stats["near_tie_picks"] += tied
+        if tied:
+            ties.append(len(selected))
         chosen = int(members[pos])
         selected.append(chosen)
         gain[chosen] = np.nan
@@ -516,8 +544,8 @@ def select_facility_location(embeddings, budget: int, kernel: KernelSpec) -> Sel
         strategy="facility_location",
         params={"budget": budget, **_kernel_params(kernel)},
         objective_trace=trace,
-        warnings=_cap_note(budget, n, "number of points"),
-        stats={"kernel_entries": cols.entries, **stats},
+        warnings=_cap_note(budget, n, "number of points") + _near_tie_note(ties),
+        stats={"kernel_entries": cols.entries, **stats, "near_tie_picks": len(ties)},
     )
 
 
@@ -530,7 +558,10 @@ def select_dpp(embeddings, budget: int, kernel: KernelSpec, jitter: float = 1e-6
     Every pick is the lowest index within _TIE_RTOL (relative) of the
     largest residual. A pivot below _JITTER_MARGIN x jitter means the
     kernel's rank is spent and the jitter decides the picks; the first
-    such step is named in a warning.
+    such step is named in a warning. ``stats`` counts the kernel entries
+    (rbf only computes any), that step (None if the jitter decides no
+    pick) and the picks that had a near tie, which a warning names with
+    the step of the first.
 
     The euclidean and cosine kernels are K = X X^T for the (normalized)
     points X, so the state lives in d dimensions, with no k x N factor.
@@ -578,7 +609,7 @@ def select_dpp(embeddings, budget: int, kernel: KernelSpec, jitter: float = 1e-6
     trace: list[float] = []
     warnings = _cap_note(budget, n, "number of points")
     log_det = 0.0
-    jitter_noted = False
+    jitter_step, ties = None, []
     for step in range(k):
         if not rbf and kern is not None and not residual.max() >= floor:
             # R from the QR of [X_S; sqrt(jitter) I] has R^T R = jitter*I +
@@ -597,15 +628,17 @@ def select_dpp(embeddings, budget: int, kernel: KernelSpec, jitter: float = 1e-6
             proj[:] = 0.0
             residual = jitter + np.einsum("ij,ij->i", points, points)
             residual[selected] = -np.inf
-        j, _ = _lowest_near_max(residual)
+        j, tied = _lowest_near_max(residual)
         pivot = float(residual[j])
         if not pivot > 0.0:
             warnings.append(
                 f"kernel rank exhausted after {step} of {k} selections; partial result"
             )
             break
-        if not jitter_noted and pivot < floor:
-            jitter_noted = True
+        if tied:
+            ties.append(step)
+        if jitter_step is None and pivot < floor:
+            jitter_step = step
             warnings.append(
                 f"pivot {pivot:.3g} at step {step} is below {_JITTER_MARGIN:g} x jitter"
                 f" ({jitter:g}); picks from step {step} on are decided by the jitter"
@@ -631,7 +664,9 @@ def select_dpp(embeddings, budget: int, kernel: KernelSpec, jitter: float = 1e-6
         strategy="dpp",
         params={"budget": budget, **_kernel_params(kernel), "jitter": jitter},
         objective_trace=trace,
-        warnings=warnings,
+        warnings=warnings + _near_tie_note(ties),
+        stats={"kernel_entries": kern.entries if rbf else 0, "jitter_step": jitter_step,
+               "near_tie_picks": len(ties)},
     )
 
 

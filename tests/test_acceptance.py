@@ -300,11 +300,12 @@ def test_allocation_strategies_are_pinned_at_desk_scale(strategy, budget, desk_s
     ) == PINNED_DESK_ALLOCATIONS[strategy, budget]
 
 
-# kernel: digest of the selected ids and the final objective of DPP at budget
-# 1K on criterion 7's embeddings; d = 64, so the jitter decides from step 64
+# kernel: digest of the selected ids, the final objective and the near-tie
+# picks of DPP at budget 1K on criterion 7's embeddings; d = 64, so the
+# jitter decides from step 64, and every cosine residual starts at 1 + jitter
 PINNED_DESK_DPP = {
-    "euclidean": ("2e23e7e02614ebf9", -12206.800779408788),
-    "cosine": ("2d57354e08ca2d33", -12755.752446346845),
+    "euclidean": ("2e23e7e02614ebf9", -12206.800779408788, 0),
+    "cosine": ("2d57354e08ca2d33", -12755.752446346845, 1),
 }
 
 
@@ -313,11 +314,12 @@ def test_dpp_is_pinned_at_desk_scale(kind, desk_scale_inputs, desk_scale_pool):
     embeddings = read_embeddings(desk_scale_inputs[1]).astype(np.float64)
     result = select_dpp(embeddings, 1_000, KernelSpec(kind))
     ids = desk_scale_pool.ids()
-    digest, objective = PINNED_DESK_DPP[kind]
+    digest, objective, ties = PINNED_DESK_DPP[kind]
     assert len(result.selected) == 1_000
     assert _digest(",".join(ids[i] for i in result.selected)) == digest
     assert result.objective_trace[-1] == pytest.approx(objective, rel=1e-12)
-    assert len(result.warnings) == 1
+    assert result.stats == {"kernel_entries": 0, "jitter_step": 64, "near_tie_picks": ties}
+    assert len(result.warnings) == 1 + (ties > 0)
     assert "at step 64 is below 1000 x jitter" in result.warnings[0]
 
 

@@ -450,6 +450,24 @@ def mirrored_pairs(d=8, seed=3):
     return np.vstack([centers + offsets, centers - offsets]) @ q
 
 
+@pytest.mark.parametrize("select, kernel", [
+    (select_facility_location, KernelSpec("rbf", 50.0)),
+    (select_k_center, None),
+    (select_dpp, KernelSpec("euclidean")),
+])
+def test_near_tie_picks_are_warned_once_with_the_first_step_and_the_total(select, kernel):
+    # every mirrored point has the same column sum, medoid sum and norm, so
+    # each greedy selector's first pick is a near tie
+    tied = select(mirrored_pairs(), 6, kernel)
+    assert tied.stats["near_tie_picks"] > 0
+    assert [w for w in tied.warnings if "near-tie" in w] == [
+        f"near-tie picks: {tied.stats['near_tie_picks']}, the first at step 0; each went to"
+        " the lowest index within 1e-12 (relative) of the best"
+    ]
+    spread = select(np.random.default_rng(5).standard_normal((40, 3)), 3, kernel)
+    assert (spread.stats["near_tie_picks"], spread.warnings) == (0, [])
+
+
 class TestFacilityLocationTiles:
     def test_near_ties_go_to_lowest_index(self):
         for seed in range(4):
@@ -513,10 +531,11 @@ class TestFacilityLocationTiles:
 
     @pytest.mark.parametrize("kind", ["rbf", "euclidean", "cosine"])
     def test_walks_are_the_only_public_methods_and_own_their_results(self, rng, kind):
-        # columns, column_sums and clipped_sums are K's whole interface, and
-        # none hands out the scratch tile, which the next tile overwrites
+        # columns, the two column sums and clipped_sums are K's whole
+        # interface, and none hands out the scratch tile, which the next tile
+        # overwrites; rbf has no closed-form sums
         public = {name for name in vars(selectors._ColumnKernel) if not name.startswith("_")}
-        assert public == {"columns", "column_sums", "clipped_sums"}
+        assert public == {"columns", "closed_sums", "column_sums", "clipped_sums"}
         pts = rng.standard_normal((700, 4))
         kern = selectors._ColumnKernel(pts, KernelSpec(kind))
         dense = fl_kernel(kern.points, kind, 0.1)
@@ -526,8 +545,10 @@ class TestFacilityLocationTiles:
         clipped = kern.clipped_sums(rows, cols, floor, cap)
         uncapped = kern.clipped_sums(None, cols, np.zeros(700))
         block = kern.columns(cols[:16])
-        for walked in (kern.columns([7])[0], block, sums, clipped, uncapped):
+        closed = sums if kind == "rbf" else kern.closed_sums()
+        for walked in (kern.columns([7])[0], block, sums, closed, clipped, uncapped):
             assert not np.shares_memory(walked, kern._tile)
+        assert np.allclose(closed, sums, rtol=1e-12, atol=1e-9)
         assert block.flags.c_contiguous and block.shape == (16, 700)
         assert np.allclose(block, dense[:, cols[:16]].T, rtol=1e-12, atol=1e-9)
         assert np.allclose(sums, dense.sum(axis=0), rtol=1e-12, atol=1e-9)
@@ -675,9 +696,18 @@ class TestFacilityLocationTiles:
         assert manifest_payload(result, pool)["stats"] == result.stats
         assert result.stats == {"kernel_entries": 36, "column_blocks": 1, "near_tie_picks": 0}
 
+    @pytest.mark.parametrize("kind, entries, ties", [("euclidean", 0, 0), ("rbf", 12, 1)])
+    def test_dpp_stats_reach_the_manifest(self, rng, kind, entries, ties):
+        # only rbf computes kernel columns, one per pick, and its residuals
+        # all start at 1 + jitter, so its first pick is a near tie
+        pool = make_pool({"a": 6}, embeddings=rng.normal(size=(6, 2)))
+        result = run_strategy(pool, StrategyConfig("dpp", budget=2, kernel=KernelSpec(kind)))
+        assert manifest_payload(result, pool)["stats"] == result.stats
+        assert result.stats == {"kernel_entries": entries, "jitter_step": None, "near_tie_picks": ties}
+
     def test_other_strategies_have_no_stats(self, rng):
         pool = make_pool({"a": 6}, embeddings=rng.normal(size=(6, 2)))
-        for name in ("dpp", "random"):
+        for name in ("random", "task_diversity"):
             result = run_strategy(pool, StrategyConfig(name, budget=2, seed=0))
             assert result.stats is None
             assert "stats" not in manifest_payload(result, pool)
@@ -945,6 +975,7 @@ class TestDpp:
         assert not within_rank.warnings
         notes = [w for w in past_rank.warnings if "decided by the jitter" in w]
         assert len(notes) == 1 and "at step 3 " in notes[0]
+        assert (within_rank.stats["jitter_step"], past_rank.stats["jitter_step"]) == (None, 3)
 
     @pytest.mark.parametrize("jitter", [float("inf"), float("nan"), 0.0, -1e-6])
     def test_rejects_non_positive_or_non_finite_jitter(self, jitter):
